@@ -1,12 +1,12 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build fmt-check vet test race recover-test cluster-test cluster-obs-test tournament-test learning-test batch-test bench bench-smoke bench-compare bench-compare-smoke bench-dispatch-gate bench-distilled-gate bench-learning-gate bench-batch-gate ci
+.PHONY: all build fmt-check vet test race recover-test cluster-test cluster-obs-test tournament-test learning-test fuzz-smoke bench bench-smoke bench-compare bench-compare-smoke bench-dispatch-gate bench-distilled-gate bench-learning-gate ci
 
 # Committed benchmark baseline that bench-compare diffs against.
 BENCH_BASELINE ?= BENCH_pr4.json
 # Where `make bench` writes its machine-readable summary.
-BENCH_OUT ?= BENCH_pr10.json
+BENCH_OUT ?= BENCH_pr12.json
 
 all: ci
 
@@ -62,13 +62,12 @@ tournament-test:
 learning-test:
 	$(GO) test -race -run 'TestLearning|TestCurve|TestLeaderboardTieBreak' ./internal/rl ./internal/sim ./internal/campaign ./internal/service ./internal/durable
 
-# Lockstep-batching suite under the race detector: batch-kernel bit-identity
-# against the scalar stepper (including the large-grid streaming kernel and
-# the zero-alloc Advance guarantee), sim.RunBatch lane isolation and mixed
-# configs, PlanBatches grouping, the pool's batched-vs-unbatched leaderboard
-# bit-identity, and worker-aware task planning.
-batch-test:
-	$(GO) test -race -run 'TestBatch|TestRunBatch|TestPlanBatches|TestPoolBatched|TestPlanTasks' ./internal/thermal ./internal/sim ./internal/campaign ./internal/service
+# Fuzz smoke: a bounded run of FuzzParseSpec (the decoder of the untrusted
+# POST /v1/campaigns body) on top of its committed seed corpus under
+# testdata/fuzz/. A crasher is written into that corpus, where plain
+# `go test` replays it from then on.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/campaign
 
 # Full benchmark sweep (quick-mode experiment regeneration plus the
 # micro-benchmarks of every package). The human-readable benchstat text is
@@ -135,15 +134,4 @@ bench-learning-gate:
 	$(GO) test -bench 'BenchmarkFig1$$' -benchmem -count=1 -run '^$$' . | tee results/bench-learning.txt
 	$(GO) run ./cmd/benchjson -only 'BenchmarkFig1' -threshold 0.02 -gate-ns -compare BENCH_pr8.json results/bench-learning.txt
 
-# Batched-campaign throughput floor: the batched 64-cell sweep's ns/op (the
-# inverse of its sims/s — the per-op simulation count is fixed) must stay
-# within 50% of the committed PR 10 baseline, catching kernel regressions like
-# a de-optimized inner loop while leaving headroom for shared-hardware noise.
-# Like bench-dispatch-gate, a wall-clock gate against a baseline recorded in a
-# different run belongs on a quiet machine, not in ci.
-bench-batch-gate:
-	@mkdir -p results
-	$(GO) test -bench 'BenchmarkBatchCampaign/batched' -benchmem -count=1 -run '^$$' . | tee results/bench-batch.txt
-	$(GO) run ./cmd/benchjson -only 'BenchmarkBatchCampaign/batched' -threshold 0.50 -gate-ns -compare BENCH_pr10.json results/bench-batch.txt
-
-ci: build fmt-check vet race cluster-test cluster-obs-test tournament-test learning-test batch-test bench-smoke bench-compare-smoke
+ci: build fmt-check vet race cluster-test cluster-obs-test tournament-test learning-test fuzz-smoke bench-smoke bench-compare-smoke

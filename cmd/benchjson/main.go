@@ -27,6 +27,11 @@
 // overhead record for that run; -report-only keeps the annotation and the
 // delta report but never fails, for summary-producing runs that are not
 // gates.
+//
+// A summary file also carries a "host" object next to the benchmarks: the
+// CPU count and Go version of the process writing it, plus the GOMAXPROCS
+// (from the -N name suffix) and "cpu:" header line of the benchmark text, so
+// files measured on different machines are never compared blind.
 package main
 
 import (
@@ -37,6 +42,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -55,6 +61,21 @@ type result struct {
 	// "agingMTTFgain_x") so a benchmark's headline numbers survive into the
 	// summary file alongside the timing columns. Never gated on.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
+	// procs is the GOMAXPROCS the line ran under (its -N name suffix, 1
+	// when absent).
+	procs int
+}
+
+// hostKey is the summary-file key of the host object; it cannot collide with
+// a benchmark name, which always starts with "Benchmark".
+const hostKey = "host"
+
+// hostInfo records where a summary was measured.
+type hostInfo struct {
+	CPUs       int    `json:"cpus"`
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+	CPU        string `json:"cpu,omitempty"`
+	GoVersion  string `json:"go_version"`
 }
 
 func main() {
@@ -92,20 +113,12 @@ func main() {
 		}
 	}
 
-	results := map[string]result{}
-	sc := bufio.NewScanner(in)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if echo {
-			fmt.Println(line)
-		}
-		name, r, ok := parseBenchLine(line)
-		if ok && (keep == nil || keep.MatchString(name)) {
-			results[name] = r
-		}
+	var stdout io.Writer
+	if echo {
+		stdout = os.Stdout
 	}
-	if err := sc.Err(); err != nil {
+	results, host, err := parse(in, stdout, keep)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
@@ -127,7 +140,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
 		}
-		writeSummary(f, results)
+		writeSummary(f, results, host)
 		f.Close()
 	} else if *compare == "" {
 		if echo {
@@ -135,7 +148,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchjson: no -o file; JSON summary suppressed in pipe mode")
 			return
 		}
-		writeSummary(os.Stdout, results)
+		writeSummary(os.Stdout, results, host)
 	}
 
 	if !compareOK {
@@ -143,12 +156,44 @@ func main() {
 	}
 }
 
-// writeSummary encodes the results map as indented JSON.
-func writeSummary(w io.Writer, results map[string]result) {
+// parse reads benchmark text, echoing every line to echo when it is non-nil,
+// and returns the benchmarks kept by keep (all when nil) plus the host they
+// ran on.
+func parse(in io.Reader, echo io.Writer, keep *regexp.Regexp) (map[string]result, hostInfo, error) {
+	results := map[string]result{}
+	host := hostInfo{CPUs: runtime.NumCPU(), GoVersion: runtime.Version()}
+	sc := bufio.NewScanner(in)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		if echo != nil {
+			fmt.Fprintln(echo, line)
+		}
+		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok && host.CPU == "" {
+			host.CPU = cpu
+		}
+		name, r, ok := parseBenchLine(line)
+		if ok && (keep == nil || keep.MatchString(name)) {
+			results[name] = r
+			if host.GOMAXPROCS == 0 {
+				host.GOMAXPROCS = r.procs
+			}
+		}
+	}
+	return results, host, sc.Err()
+}
+
+// writeSummary encodes the results map and the host object as indented JSON.
+func writeSummary(w io.Writer, results map[string]result, host hostInfo) {
+	summary := make(map[string]any, len(results)+1)
+	for name, r := range results {
+		summary[name] = r
+	}
+	summary[hostKey] = host
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	// encoding/json sorts map keys, so summary files diff cleanly across runs.
-	if err := enc.Encode(results); err != nil {
+	if err := enc.Encode(summary); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
@@ -245,13 +290,13 @@ func parseBenchLine(line string) (string, result, bool) {
 		return "", result{}, false
 	}
 	name := fields[0]
+	r := result{procs: 1}
 	// Strip the -GOMAXPROCS suffix so keys are stable across machines.
 	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
+		if n, err := strconv.Atoi(name[i+1:]); err == nil {
+			name, r.procs = name[:i], n
 		}
 	}
-	var r result
 	var seen bool
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)

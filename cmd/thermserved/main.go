@@ -122,7 +122,6 @@ func main() {
 	stallDeadline := flag.Duration("stall-deadline", service.DefaultStallDeadline, "no-progress window after which a running job trips a stall alert")
 	traceKeep := flag.Int("trace-keep", durable.DefaultTraceKeep, "archived span traces retained under the data dir")
 	maxQueueCells := flag.Int("max-queue-cells", 0, "admission limit: queued+running cells above which POST /v1/jobs returns 429 (0 = unlimited)")
-	batchLanes := flag.Int("batch-lanes", service.DefaultBatchLanes, "max compatible cells coalesced into one lockstep simulation batch (<=1 disables batching; ignored with -role=coordinator)")
 	leaseTTL := flag.Duration("lease-ttl", cluster.DefaultLeaseTTL, "coordinator: how long a worker holds a cell before it is reassigned")
 	heartbeatEvery := flag.Duration("heartbeat-every", cluster.DefaultHeartbeatEvery, "coordinator: worker heartbeat period (a worker silent for 5x this is declared dead)")
 	clusterSecret := flag.String("cluster-secret", "", "shared secret gating /cluster/v1/* (set on coordinator and every worker; empty = no auth)")
@@ -180,7 +179,6 @@ func main() {
 	if *maxQueueCells > 0 {
 		pool.SetMaxQueuedCells(*maxQueueCells)
 	}
-	pool.SetBatchLanes(*batchLanes)
 	var coord *cluster.Coordinator
 	if *role == "coordinator" {
 		// -flight-dir doubles as the cluster black box: lease-reassignment

@@ -40,9 +40,7 @@
 // leaderboard — aligned text by default, machine-readable with -json, plus
 // a deterministic CSV file with -leaderboard-csv. The identical document
 // submitted to thermserved's POST /v1/campaigns produces bit-identical
-// rows and leaderboard. -batch N advances up to N compatible cells per
-// lockstep simulation batch (shared thermal-model factorization, one
-// matrix pass per tick for all lanes) — same rows, less wall-clock.
+// rows and leaderboard.
 package main
 
 import (
@@ -61,7 +59,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/experiments"
 	"repro/internal/rl"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -77,7 +74,6 @@ func main() {
 	loadAgent := flag.String("load-agent", "", "warm-start runs from policy checkpoint state in this file")
 	campaignFile := flag.String("campaign", "", "run the declarative tournament in this experiments.json document instead of paper experiments")
 	leaderboardCSV := flag.String("leaderboard-csv", "", "with -campaign: also write the leaderboard as deterministic CSV to this file")
-	batchLanes := flag.Int("batch", 0, "with -campaign: advance up to N cells per lockstep simulation batch (0 or 1 = sequential; rows are bit-identical either way)")
 	learningCSV := flag.String("learning-csv", "", "write every learning policy's per-epoch learning curve as deterministic CSV to this file")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: %s [-quick] [-repeats N] [-events FILE] <experiment>...|all\n", os.Args[0])
@@ -173,7 +169,7 @@ func main() {
 			os.Exit(1)
 		}
 		cfg.CampaignJSON = doc
-		runCampaign(ctx, cfg, *asJSON, *leaderboardCSV, *batchLanes)
+		runCampaign(ctx, cfg, *asJSON, *leaderboardCSV)
 		dumpEvents(recorder, *eventsOut)
 		dumpTrace(tracer, *traceOut)
 		dumpLearning(curves, *learningCSV)
@@ -220,13 +216,11 @@ func main() {
 }
 
 // runCampaign expands the tournament document on cfg.CampaignJSON, runs its
-// cells — sequentially, or in lockstep batches of up to batchLanes when
-// -batch is set — and prints the per-policy leaderboard: aligned text (or
+// cells sequentially and prints the per-policy leaderboard: aligned text (or
 // -json), plus a deterministic CSV surface when csvPath is set. The rows are
 // bit-identical to the same document submitted to thermserved, standalone or
-// clustered, batched or not — that equivalence is what makes the CSV
-// comparable across runs.
-func runCampaign(ctx context.Context, cfg experiments.Config, asJSON bool, csvPath string, batchLanes int) {
+// clustered — that equivalence is what makes the CSV comparable across runs.
+func runCampaign(ctx context.Context, cfg experiments.Config, asJSON bool, csvPath string) {
 	spec, err := campaign.ParseSpec(cfg.CampaignJSON)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "thermsim:", err)
@@ -238,61 +232,20 @@ func runCampaign(ctx context.Context, cfg experiments.Config, asJSON bool, csvPa
 		os.Exit(1)
 	}
 	rows := make([]any, len(cells))
-	done := 0
-	checkCtx := func() {
+	for i, cell := range cells {
 		if ctx.Err() != nil {
-			fmt.Fprintf(os.Stderr, "thermsim: interrupted after %d/%d cells\n", done, len(cells))
+			fmt.Fprintf(os.Stderr, "thermsim: interrupted after %d/%d cells\n", i, len(cells))
 			os.Exit(1)
 		}
-	}
-	runScalar := func(i int) {
-		checkCtx()
 		start := time.Now()
-		row, err := cells[i].Run(ctx)
+		row, err := cell.Run(ctx)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "thermsim: %s: %v\n", cells[i].Key, err)
+			fmt.Fprintf(os.Stderr, "thermsim: %s: %v\n", cell.Key, err)
 			os.Exit(1)
 		}
 		rows[i] = row
-		done++
-		slog.Info("cell done", "cell", cells[i].Key, "n", done, "of", len(cells),
+		slog.Info("cell done", "cell", cell.Key, "n", i+1, "of", len(cells),
 			"wall", time.Since(start).Round(time.Millisecond))
-	}
-	if batchLanes > 1 {
-		groups, scalar := campaign.PlanBatches(cells, batchLanes)
-		for _, g := range groups {
-			checkCtx()
-			start := time.Now()
-			runs := make([]sim.BatchRun, len(g))
-			fins := make([]experiments.FinishCell, len(g))
-			for j, i := range g {
-				if runs[j], fins[j], err = cells[i].Prepare(ctx); err != nil {
-					fmt.Fprintf(os.Stderr, "thermsim: %s: %v\n", cells[i].Key, err)
-					os.Exit(1)
-				}
-			}
-			results, errs := sim.RunBatch(runs)
-			for j, i := range g {
-				if errs[j] != nil {
-					fmt.Fprintf(os.Stderr, "thermsim: %s: %v\n", cells[i].Key, errs[j])
-					os.Exit(1)
-				}
-				if rows[i], err = fins[j](results[j]); err != nil {
-					fmt.Fprintf(os.Stderr, "thermsim: %s: %v\n", cells[i].Key, err)
-					os.Exit(1)
-				}
-				done++
-			}
-			slog.Info("batch done", "lanes", len(g), "n", done, "of", len(cells),
-				"wall", time.Since(start).Round(time.Millisecond))
-		}
-		for _, i := range scalar {
-			runScalar(i)
-		}
-	} else {
-		for i := range cells {
-			runScalar(i)
-		}
 	}
 	trows := assemble(rows).([]campaign.Row)
 	entries := campaign.Leaderboard(trows)

@@ -70,9 +70,6 @@ func Cells(cfg experiments.Config, id string) ([]experiments.Cell, experiments.A
 		cells[i] = experiments.Cell{
 			Key: fmt.Sprintf("tournament/%s/%s/s%d/r%d", c.Policy, c.Workload, c.Seed, c.Repeat),
 			Run: func(ctx context.Context) (any, error) { return runCell(traceCfg(ctx, cfg), spec, c) },
-			Prepare: func(ctx context.Context) (sim.BatchRun, experiments.FinishCell, error) {
-				return prepareCell(traceCfg(ctx, cfg), spec, c)
-			},
 		}
 	}
 	assemble := func(rows []any) any {
@@ -97,81 +94,62 @@ func traceCfg(ctx context.Context, cfg experiments.Config) experiments.Config {
 	return cfg
 }
 
-// prepareCell splits one tournament cell into its simulation and row mapper:
-// instantiate the registered policy with the cell's derived seed (and the
-// resolved warm-start checkpoint, if its kind belongs to the policy), arm
-// learning-curve sampling, and return the row collector. Both the scalar
-// (runCell) and batched (sim.RunBatch) paths execute exactly this pair.
-func prepareCell(cfg experiments.Config, spec *Spec, c cellPlan) (sim.BatchRun, experiments.FinishCell, error) {
+// runCell executes one tournament cell: instantiate the registered policy
+// with the cell's derived seed (and the resolved warm-start checkpoint, if
+// its kind belongs to the policy), run the workload, collect the row.
+func runCell(cfg experiments.Config, spec *Spec, c cellPlan) (Row, error) {
 	var ckpt *policy.Checkpoint
 	if len(cfg.WarmCheckpoint) > 0 {
 		var err error
 		if ckpt, err = policy.DecodeCheckpoint(cfg.WarmCheckpoint); err != nil {
-			return sim.BatchRun{}, nil, err
+			return Row{}, err
 		}
 	}
 	pol, err := policy.New(c.Policy, policy.Options{Seed: c.agentSeed(), Checkpoint: ckpt})
 	if err != nil {
-		return sim.BatchRun{}, nil, err
+		return Row{}, err
 	}
 	work, err := parseWorkload(c.Workload, spec.dataSet())
 	if err != nil {
-		return sim.BatchRun{}, nil, err
+		return Row{}, err
 	}
 	rc := cfg.Run
 	rc.DiscardTrace = true
 	// Tournament cells always sample the learning curve: sampling is
 	// observation-only (it never touches a policy's action-selection RNG),
 	// so rows stay bit-identical with and without it across standalone,
-	// pooled, sharded and batched execution — while every row gains the
-	// convergence verdict and per-core damage attribution.
-	sampled := new(*rl.LearningSampler)
-	rc.LearningObserver = func(_, _ string, s *rl.LearningSampler) { *sampled = s }
-	finish := func(res *sim.Result) (any, error) {
-		row := Row{
-			Policy: c.Policy, Workload: c.Workload, Seed: c.Seed, Repeat: c.Repeat,
-			ExecTimeS: res.ExecTimeS, AvgTempC: res.AvgTempC, PeakTempC: res.PeakTempC,
-			CyclingMTTF: res.CyclingMTTF, AgingMTTF: res.AgingMTTF, CombinedMTTF: res.CombinedMTTF,
-			CoreDamageShare: res.CoreDamageShare,
-		}
-		if rs, ok := pol.(interface{ RewardStats() (float64, int) }); ok {
-			if sum, n := rs.RewardStats(); n > 0 {
-				row.MeanReward = sum / float64(n)
-			}
-		}
-		if ec, ok := pol.(interface{ DecisionEpochs() int }); ok {
-			row.DecisionEpochs = ec.DecisionEpochs()
-		}
-		if s := *sampled; s != nil {
-			row.ConvergeEpoch = s.ConvergedEpoch() // -1 when never converged
-			if cfg.LearningCurves != nil {
-				cfg.LearningCurves.Add(rl.RunCurve{
-					Policy: c.Policy, Workload: c.Workload, Seed: c.Seed, Repeat: c.Repeat,
-					Points: s.Points(), Summary: s.Summary(),
-				})
-			}
-		}
-		return row, nil
-	}
-	return sim.BatchRun{Cfg: rc, Work: work, Policy: pol}, finish, nil
-}
-
-// runCell executes one tournament cell scalar: the prepare/finish pair
-// around a single sim.Run.
-func runCell(cfg experiments.Config, spec *Spec, c cellPlan) (Row, error) {
-	br, finish, err := prepareCell(cfg, spec, c)
+	// pooled and sharded execution — while every row gains the convergence
+	// verdict and per-core damage attribution.
+	var sampled *rl.LearningSampler
+	rc.LearningObserver = func(_, _ string, s *rl.LearningSampler) { sampled = s }
+	res, err := sim.Run(rc, work, pol)
 	if err != nil {
 		return Row{}, err
 	}
-	res, err := sim.Run(br.Cfg, br.Work, br.Policy)
-	if err != nil {
-		return Row{}, err
+	row := Row{
+		Policy: c.Policy, Workload: c.Workload, Seed: c.Seed, Repeat: c.Repeat,
+		ExecTimeS: res.ExecTimeS, AvgTempC: res.AvgTempC, PeakTempC: res.PeakTempC,
+		CyclingMTTF: res.CyclingMTTF, AgingMTTF: res.AgingMTTF, CombinedMTTF: res.CombinedMTTF,
+		CoreDamageShare: res.CoreDamageShare,
 	}
-	row, err := finish(res)
-	if err != nil {
-		return Row{}, err
+	if rs, ok := pol.(interface{ RewardStats() (float64, int) }); ok {
+		if sum, n := rs.RewardStats(); n > 0 {
+			row.MeanReward = sum / float64(n)
+		}
 	}
-	return row.(Row), nil
+	if ec, ok := pol.(interface{ DecisionEpochs() int }); ok {
+		row.DecisionEpochs = ec.DecisionEpochs()
+	}
+	if sampled != nil {
+		row.ConvergeEpoch = sampled.ConvergedEpoch() // -1 when never converged
+		if cfg.LearningCurves != nil {
+			cfg.LearningCurves.Add(rl.RunCurve{
+				Policy: c.Policy, Workload: c.Workload, Seed: c.Seed, Repeat: c.Repeat,
+				Points: sampled.Points(), Summary: sampled.Summary(),
+			})
+		}
+	}
+	return row, nil
 }
 
 // parseWorkload resolves a spec workload name: a single application or a

@@ -3,9 +3,24 @@ package durable
 import (
 	"encoding/json"
 	"fmt"
+	"io"
+	"log"
+	"log/slog"
 	"path/filepath"
 	"testing"
 )
+
+// discardLogs silences the default slog logger until the benchmark ends, so
+// INFO lines cannot split the result line that cmd/benchjson parses.
+func discardLogs(b *testing.B) {
+	prev, out, flags := slog.Default(), log.Writer(), log.Flags()
+	slog.SetDefault(slog.New(slog.NewTextHandler(io.Discard, nil)))
+	b.Cleanup(func() {
+		slog.SetDefault(prev)
+		log.SetOutput(out)
+		log.SetFlags(flags)
+	})
+}
 
 // benchPayload is a realistic cell record: ~200 bytes of JSON.
 var benchPayload = []byte(`{"kind":"cell","job":"job-000123","cell":4,"row":{"App":"tachyon","Policy":"proposed","AvgTempC":63.2,"PeakTempC":78.9,"CyclingMTTF":11.4,"AgingMTTF":9.7,"CombinedMTTF":5.2,"ExecTimeS":412}}`)
@@ -36,6 +51,7 @@ func BenchmarkWALAppend(b *testing.B) {
 // BenchmarkRecover measures a cold open replaying a 1k-job journal (each
 // job: submit, four cells, finish — 6k records).
 func BenchmarkRecover(b *testing.B) {
+	discardLogs(b)
 	dir := b.TempDir()
 	j, err := OpenJournal(dir, Options{NoSync: true})
 	if err != nil {

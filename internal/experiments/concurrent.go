@@ -79,50 +79,33 @@ func concurrentCells(cfg Config) []concurrentCell {
 	return cells
 }
 
-// prepareConcurrentCell splits one concurrent cell into its simulation and
-// row mapper, the batchable form of runConcurrentCell.
-func prepareConcurrentCell(cfg Config, c concurrentCell) (sim.BatchRun, FinishCell, error) {
+// runConcurrentCell executes one cell of the concurrent campaign.
+func runConcurrentCell(cfg Config, c concurrentCell) (ConcurrentRow, error) {
 	con, err := buildMix(c.Mix[0], c.Mix[1])
 	if err != nil {
-		return sim.BatchRun{}, nil, err
+		return ConcurrentRow{}, err
 	}
 	p, err := newPolicy(cfg, c.Policy)
 	if err != nil {
-		return sim.BatchRun{}, nil, err
+		return ConcurrentRow{}, err
 	}
 	// Rows need only scalars; stream them without the trace.
 	rc := cfg.Run
 	rc.DiscardTrace = true
-	finish := func(r *sim.Result) (any, error) {
-		return ConcurrentRow{
-			Mix:          con.Name(),
-			Policy:       c.Policy,
-			AvgTempC:     r.AvgTempC,
-			PeakTempC:    r.PeakTempC,
-			CyclingMTTF:  r.CyclingMTTF,
-			AgingMTTF:    r.AgingMTTF,
-			CombinedMTTF: r.CombinedMTTF,
-			ExecTimeS:    r.ExecTimeS,
-		}, nil
-	}
-	return sim.BatchRun{Cfg: rc, Work: con, Policy: p}, finish, nil
-}
-
-// runConcurrentCell executes one cell of the concurrent campaign.
-func runConcurrentCell(cfg Config, c concurrentCell) (ConcurrentRow, error) {
-	br, finish, err := prepareConcurrentCell(cfg, c)
+	r, err := sim.Run(rc, con, p)
 	if err != nil {
-		return ConcurrentRow{}, err
+		return ConcurrentRow{}, fmt.Errorf("concurrent %s/%s: %w", con.Name(), c.Policy, err)
 	}
-	r, err := sim.Run(br.Cfg, br.Work, br.Policy)
-	if err != nil {
-		return ConcurrentRow{}, fmt.Errorf("concurrent %s/%s: %w", br.Work.Name(), c.Policy, err)
-	}
-	row, err := finish(r)
-	if err != nil {
-		return ConcurrentRow{}, err
-	}
-	return row.(ConcurrentRow), nil
+	return ConcurrentRow{
+		Mix:          con.Name(),
+		Policy:       c.Policy,
+		AvgTempC:     r.AvgTempC,
+		PeakTempC:    r.PeakTempC,
+		CyclingMTTF:  r.CyclingMTTF,
+		AgingMTTF:    r.AgingMTTF,
+		CombinedMTTF: r.CombinedMTTF,
+		ExecTimeS:    r.ExecTimeS,
+	}, nil
 }
 
 // Concurrent evaluates the paper's first future-work extension: two

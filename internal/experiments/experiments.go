@@ -145,32 +145,21 @@ func (c Config) agentSeed() int64 {
 	return core.DefaultConfig().Agent.Seed
 }
 
-// prepareApp assembles the simulation for one (app, dataset, policy)
-// combination without running it, so a batch executor can drive it as one
-// lane of sim.RunBatch.
-func prepareApp(cfg Config, appName string, ds workload.DataSet, policy string) (sim.BatchRun, error) {
+// runApp executes one (app, dataset, policy) combination.
+func runApp(cfg Config, appName string, ds workload.DataSet, policy string) (*sim.Result, error) {
 	app, err := workload.ByName(appName, ds)
 	if err != nil {
-		return sim.BatchRun{}, err
+		return nil, err
 	}
 	pol, err := newPolicy(cfg, policy)
 	if err != nil {
-		return sim.BatchRun{}, err
+		return nil, err
 	}
 	// Row experiments consume only the scalar metrics, so the run streams
 	// them instead of retaining the oracle traces.
 	rc := cfg.Run
 	rc.DiscardTrace = true
-	return sim.BatchRun{Cfg: rc, Work: app, Policy: pol}, nil
-}
-
-// runApp executes one (app, dataset, policy) combination.
-func runApp(cfg Config, appName string, ds workload.DataSet, policy string) (*sim.Result, error) {
-	br, err := prepareApp(cfg, appName, ds, policy)
-	if err != nil {
-		return nil, err
-	}
-	return sim.Run(br.Cfg, br.Work, br.Policy)
+	return sim.Run(rc, app, pol)
 }
 
 // scenarioApps parses "mpegdec-tachyon-mpegenc" into its applications.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -19,18 +18,7 @@ type Cell struct {
 	// Run executes the cell. The returned row's concrete type depends on
 	// the experiment (SuiteRow, Table2Cell, ...).
 	Run func(ctx context.Context) (any, error)
-	// Prepare, when non-nil, splits the cell into its simulation and a
-	// finish step mapping the Result to the cell's row, letting a batch
-	// executor drive many cells' simulations in lockstep (sim.RunBatch).
-	// Run remains the complete scalar path and routes through the same
-	// prepare/finish pair, so batched and scalar rows are bit-identical by
-	// construction. Cells whose work is not a single simulation (seed
-	// studies, single-shot figure experiments) leave Prepare nil.
-	Prepare func(ctx context.Context) (sim.BatchRun, FinishCell, error)
 }
-
-// FinishCell maps a completed simulation to the cell's row.
-type FinishCell func(*sim.Result) (any, error)
 
 // Assemble merges per-cell outputs, given in cell order, into the
 // experiment's row type. Nil entries (skipped or failed cells) are dropped,
@@ -73,9 +61,6 @@ func Cells(cfg Config, id string) ([]Cell, Assemble, error) {
 			cells[i] = Cell{
 				Key: fmt.Sprintf("suite/%s/%s", c.App, c.Policy),
 				Run: func(ctx context.Context) (any, error) { return runSuiteCell(traceCfg(ctx, cfg), c) },
-				Prepare: func(ctx context.Context) (sim.BatchRun, FinishCell, error) {
-					return prepareSuiteCell(traceCfg(ctx, cfg), c)
-				},
 			}
 		}
 		return cells, assembleAs[SuiteRow], nil
@@ -87,9 +72,6 @@ func Cells(cfg Config, id string) ([]Cell, Assemble, error) {
 			cells[i] = Cell{
 				Key: fmt.Sprintf("table2/%s/%v/%s", c.App, c.DataSet, c.Policy),
 				Run: func(ctx context.Context) (any, error) { return runTable2Cell(traceCfg(ctx, cfg), c) },
-				Prepare: func(ctx context.Context) (sim.BatchRun, FinishCell, error) {
-					return prepareTable2Cell(traceCfg(ctx, cfg), c)
-				},
 			}
 		}
 		return cells, assembleAs[Table2Cell], nil
@@ -112,9 +94,6 @@ func Cells(cfg Config, id string) ([]Cell, Assemble, error) {
 			cells[i] = Cell{
 				Key: fmt.Sprintf("concurrent/%s+%s/%s", c.Mix[0], c.Mix[1], c.Policy),
 				Run: func(ctx context.Context) (any, error) { return runConcurrentCell(traceCfg(ctx, cfg), c) },
-				Prepare: func(ctx context.Context) (sim.BatchRun, FinishCell, error) {
-					return prepareConcurrentCell(traceCfg(ctx, cfg), c)
-				},
 			}
 		}
 		return cells, assembleAs[ConcurrentRow], nil

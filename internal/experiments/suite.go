@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -48,43 +47,22 @@ func suiteCells(cfg Config) []suiteCell {
 	return cells
 }
 
-// prepareSuiteCell splits one suite cell into its simulation and row mapper,
-// the batchable form of runSuiteCell.
-func prepareSuiteCell(cfg Config, c suiteCell) (sim.BatchRun, FinishCell, error) {
-	br, err := prepareApp(cfg, c.App, workload.Set1, c.Policy)
-	if err != nil {
-		return sim.BatchRun{}, nil, fmt.Errorf("suite %s/%s: %w", c.App, c.Policy, err)
-	}
-	finish := func(r *sim.Result) (any, error) {
-		return SuiteRow{
-			App:          c.App,
-			Policy:       c.Policy,
-			AvgTempC:     r.AvgTempC,
-			PeakTempC:    r.PeakTempC,
-			CyclingMTTF:  r.CyclingMTTF,
-			AgingMTTF:    r.AgingMTTF,
-			CombinedMTTF: r.CombinedMTTF,
-			ExecTimeS:    r.ExecTimeS,
-		}, nil
-	}
-	return br, finish, nil
-}
-
 // runSuiteCell executes one cell of the suite campaign.
 func runSuiteCell(cfg Config, c suiteCell) (SuiteRow, error) {
-	br, finish, err := prepareSuiteCell(cfg, c)
-	if err != nil {
-		return SuiteRow{}, err
-	}
-	r, err := sim.Run(br.Cfg, br.Work, br.Policy)
+	r, err := runApp(cfg, c.App, workload.Set1, c.Policy)
 	if err != nil {
 		return SuiteRow{}, fmt.Errorf("suite %s/%s: %w", c.App, c.Policy, err)
 	}
-	row, err := finish(r)
-	if err != nil {
-		return SuiteRow{}, err
-	}
-	return row.(SuiteRow), nil
+	return SuiteRow{
+		App:          c.App,
+		Policy:       c.Policy,
+		AvgTempC:     r.AvgTempC,
+		PeakTempC:    r.PeakTempC,
+		CyclingMTTF:  r.CyclingMTTF,
+		AgingMTTF:    r.AgingMTTF,
+		CombinedMTTF: r.CombinedMTTF,
+		ExecTimeS:    r.ExecTimeS,
+	}, nil
 }
 
 // Suite runs every ALPBench application (data set 1) under four policies —

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -52,43 +51,22 @@ func table2Cells(cfg Config) []table2Cell {
 	return cells
 }
 
-// prepareTable2Cell splits one Table 2 cell into its simulation and row
-// mapper, the batchable form of runTable2Cell.
-func prepareTable2Cell(cfg Config, c table2Cell) (sim.BatchRun, FinishCell, error) {
-	br, err := prepareApp(cfg, c.App, c.DataSet, c.Policy)
-	if err != nil {
-		return sim.BatchRun{}, nil, fmt.Errorf("table2 %s/%v/%s: %w", c.App, c.DataSet, c.Policy, err)
-	}
-	finish := func(r *sim.Result) (any, error) {
-		return Table2Cell{
-			App:         c.App,
-			DataSet:     c.DataSet,
-			Policy:      c.Policy,
-			AvgTempC:    r.AvgTempC,
-			PeakTempC:   r.PeakTempC,
-			CyclingMTTF: r.CyclingMTTF,
-			AgingMTTF:   r.AgingMTTF,
-			ExecTimeS:   r.ExecTimeS,
-		}, nil
-	}
-	return br, finish, nil
-}
-
 // runTable2Cell executes one cell of the Table 2 campaign.
 func runTable2Cell(cfg Config, c table2Cell) (Table2Cell, error) {
-	br, finish, err := prepareTable2Cell(cfg, c)
-	if err != nil {
-		return Table2Cell{}, err
-	}
-	r, err := sim.Run(br.Cfg, br.Work, br.Policy)
+	r, err := runApp(cfg, c.App, c.DataSet, c.Policy)
 	if err != nil {
 		return Table2Cell{}, fmt.Errorf("table2 %s/%v/%s: %w", c.App, c.DataSet, c.Policy, err)
 	}
-	row, err := finish(r)
-	if err != nil {
-		return Table2Cell{}, err
-	}
-	return row.(Table2Cell), nil
+	return Table2Cell{
+		App:         c.App,
+		DataSet:     c.DataSet,
+		Policy:      c.Policy,
+		AvgTempC:    r.AvgTempC,
+		PeakTempC:   r.PeakTempC,
+		CyclingMTTF: r.CyclingMTTF,
+		AgingMTTF:   r.AgingMTTF,
+		ExecTimeS:   r.ExecTimeS,
+	}, nil
 }
 
 // Table2 reproduces the intra-application evaluation: average temperature,

@@ -186,54 +186,25 @@ type Platform struct {
 // New builds a platform executing the given workload. The workload's current
 // threads are installed into the scheduler; governors default to ondemand.
 func New(cfg Config, work workload.Workload) *Platform {
-	return build(cfg, work, nil)
-}
-
-// NewWithStepper builds a platform like New but driven by an externally
-// constructed thermal stepper — typically one lane of a thermal.BatchStepper,
-// so a batch driver can advance many platforms' thermal states in one fused
-// pass. The stepper must be sized for the configured floorplan and accept
-// steps of cfg.TickS; cfg.Solver is ignored.
-func NewWithStepper(cfg Config, work workload.Workload, st thermal.Stepper) *Platform {
-	if st == nil {
-		panic("platform: NewWithStepper: nil stepper")
-	}
-	return build(cfg, work, st)
-}
-
-// GridDims returns the effective core-grid dimensions for a config (the
-// zero-value grid is the paper's 2x2 quad-core). Batch planners use this to
-// construct floorplans value-identical to the one build will create.
-func GridDims(cfg Config) (rows, cols int) {
-	rows, cols = cfg.GridRows, cfg.GridCols
-	if rows == 0 && cols == 0 {
-		rows, cols = 2, 2
-	}
-	return rows, cols
-}
-
-func build(cfg Config, work workload.Workload, st thermal.Stepper) *Platform {
 	if cfg.TickS <= 0 {
 		panic(fmt.Sprintf("platform: TickS must be positive, got %g", cfg.TickS))
 	}
 	if len(cfg.Levels) == 0 {
 		panic("platform: need at least one DVFS level")
 	}
-	rows, cols := GridDims(cfg)
+	rows, cols := cfg.GridRows, cfg.GridCols
+	if rows == 0 && cols == 0 {
+		rows, cols = 2, 2
+	}
 	fp := thermal.GridFloorplan(rows, cols, cfg.Floorplan)
 	n := fp.NumCores()
 	if cfg.Sched.NumCores != n {
 		panic(fmt.Sprintf("platform: scheduler cores %d != floorplan cores %d", cfg.Sched.NumCores, n))
 	}
-	if st == nil {
-		st = newStepper(cfg, fp.Net)
-	} else if got := len(st.Temperatures()); got != fp.Net.NumNodes() {
-		panic(fmt.Sprintf("platform: external stepper has %d nodes, floorplan needs %d", got, fp.Net.NumNodes()))
-	}
 	p := &Platform{
 		cfg:          cfg,
 		fp:           fp,
-		solver:       st,
+		solver:       newStepper(cfg, fp.Net),
 		sch:          sched.New(cfg.Sched),
 		work:         work,
 		rng:          rand.New(rand.NewSource(cfg.Seed)),

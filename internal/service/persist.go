@@ -230,15 +230,12 @@ func (p *Pool) resume(job Job, rows []any, errs []error) {
 		telemetry.Num("cells", float64(len(cells))),
 		telemetry.Str("resumed", "true"))
 	p.watchStall(jr)
-	// Resumed cells stay single-item tasks: the pending set is a sparse
-	// remainder, and resumption favors the simplest recovery path over
-	// lockstep throughput.
 	var tasks []task
 	for i := range cells {
 		if rows[i] != nil || errs[i] != nil {
 			continue
 		}
-		tasks = append(tasks, task{jr: jr, items: []taskItem{{idx: i, cell: cells[i]}}})
+		tasks = append(tasks, task{jr: jr, idx: i, cell: cells[i]})
 	}
 	jr.remaining = len(tasks)
 	p.queued.Add(int64(len(tasks)))

@@ -287,9 +287,6 @@ func TestCrashRestartResumesSuite(t *testing.T) {
 			return nil, nil, err
 		}
 		orig := cells[len(cells)-1].Run
-		// Drop the prepare split so the gate wraps the path that actually
-		// executes (a batchable cell would otherwise run through Prepare).
-		cells[len(cells)-1].Prepare = nil
 		cells[len(cells)-1].Run = func(ctx context.Context) (any, error) {
 			select {
 			case <-hold:

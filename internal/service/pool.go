@@ -7,7 +7,6 @@ import (
 	"log/slog"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,7 +15,6 @@ import (
 	"repro/internal/durable"
 	"repro/internal/experiments"
 	"repro/internal/rl"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -48,14 +46,6 @@ type Pool struct {
 	// arriving while at least this many cells are queued is rejected with
 	// an OverloadedError (the HTTP layer maps it to 429 + Retry-After).
 	maxQueuedCells int64
-	// batchLanes caps how many batchable cells coalesce into one lockstep
-	// task (sim.RunBatch); <= 1 disables batching. Batching only applies
-	// while the default in-process runner is installed — a cluster
-	// coordinator's remote dispatch ships cells individually.
-	batchLanes int
-	// remoteRunner marks that SetCellRunner replaced in-process execution,
-	// disabling batch planning.
-	remoteRunner bool
 
 	// tasks is an unbuffered handoff: a cell is either held by its job's
 	// feeder or being executed by a worker, never parked in a buffer where
@@ -130,19 +120,11 @@ type jobRun struct {
 	startOnce sync.Once
 }
 
-// taskItem is one cell of a task.
-type taskItem struct {
+// task pairs one cell with its job.
+type task struct {
+	jr   *jobRun
 	idx  int
 	cell experiments.Cell
-}
-
-// task pairs one or more cells with their job. A single-item task executes
-// through the configured CellRunner (in-process or cluster dispatch); a
-// multi-item task is a lockstep batch the worker drives through sim.RunBatch
-// — only ever planned when the pool runs cells in-process.
-type task struct {
-	jr    *jobRun
-	items []taskItem
 }
 
 // NewPool builds a pool over store with the given worker count;
@@ -153,15 +135,14 @@ func NewPool(store *Store, workers int) *Pool {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	p := &Pool{
-		store:      store,
-		workers:    workers,
-		plan:       campaign.Cells,
-		batchLanes: DefaultBatchLanes,
-		tasks:      make(chan task),
-		ctx:        ctx,
-		cancel:     cancel,
-		reg:        telemetry.NewRegistry(),
-		log:        telemetry.Component("pool"),
+		store:   store,
+		workers: workers,
+		plan:    campaign.Cells,
+		tasks:   make(chan task),
+		ctx:     ctx,
+		cancel:  cancel,
+		reg:     telemetry.NewRegistry(),
+		log:     telemetry.Component("pool"),
 	}
 	p.runner = func(ctx context.Context, _ string, _ Spec, _ int, cell experiments.Cell) (any, string, error) {
 		row, err := runCell(ctx, cell)
@@ -171,21 +152,9 @@ func NewPool(store *Store, workers int) *Pool {
 	return p
 }
 
-// DefaultBatchLanes is the default cap on how many compatible cells share
-// one lockstep batch.
-const DefaultBatchLanes = 64
-
 // SetCellRunner replaces in-process cell execution (e.g. with a cluster
-// coordinator's remote dispatch), which also disables lockstep batching —
-// remote dispatch ships cells to workers individually. Set before Start.
-func (p *Pool) SetCellRunner(r CellRunner) {
-	p.runner = r
-	p.remoteRunner = true
-}
-
-// SetBatchLanes caps how many batchable cells coalesce into one lockstep
-// batch (n <= 1 disables batching). Set before Start.
-func (p *Pool) SetBatchLanes(n int) { p.batchLanes = n }
+// coordinator's remote dispatch). Set before Start.
+func (p *Pool) SetCellRunner(r CellRunner) { p.runner = r }
 
 // SetPlanner replaces the campaign planner (tests use synthetic plans; the
 // cluster harness uses it to exercise dispatch without the simulator). Set
@@ -281,9 +250,12 @@ func (p *Pool) Submit(spec Spec) (Job, error) {
 		telemetry.Num("cells", float64(len(cells))),
 		telemetry.Bool("quick", spec.Quick))
 	p.watchStall(jr)
-	tasks := p.planTasks(jr, cells)
+	tasks := make([]task, len(cells))
+	for i, cell := range cells {
+		tasks[i] = task{jr: jr, idx: i, cell: cell}
+	}
 	p.jobsSubmitted.Add(1)
-	p.queued.Add(int64(len(cells)))
+	p.queued.Add(int64(len(tasks)))
 	p.feederWG.Add(1)
 	go p.feed(jr, tasks)
 	p.log.Info("job submitted", "job", job.ID, "experiment", spec.Experiment, "cells", len(cells), "quick", spec.Quick, "warm_start", spec.WarmStart)
@@ -322,55 +294,13 @@ func (p *Pool) feed(jr *jobRun, tasks []task) {
 			// The unfed remainder never reaches a worker; drain it from the
 			// queue-depth gauge as it is accounted.
 			for _, rest := range tasks[i:] {
-				for _, it := range rest.items {
-					p.queued.Add(-1)
-					p.finishCell(jr, it.idx, nil, "", jr.ctx.Err(), true)
-				}
+				p.queued.Add(-1)
+				p.finishCell(jr, rest.idx, nil, "", jr.ctx.Err(), true)
 			}
 			return
 		case p.tasks <- t:
 		}
 	}
-}
-
-// planTasks turns a job's planned cells into worker tasks. With the default
-// in-process runner and batching enabled, batchable cells (those exposing the
-// prepare/finish split) coalesce into multi-item lockstep tasks of up to
-// batchLanes cells; everything else — and every cell when a cluster runner is
-// installed — becomes a single-item task. The lane cap is additionally
-// shrunk so a job yields at least one task per worker: one giant batch is
-// one task, and letting it absorb the whole job would idle every other
-// worker. Tasks are ordered by their first cell index so feeding preserves
-// plan order.
-func (p *Pool) planTasks(jr *jobRun, cells []experiments.Cell) []task {
-	if p.remoteRunner || p.batchLanes <= 1 {
-		tasks := make([]task, len(cells))
-		for i, cell := range cells {
-			tasks[i] = task{jr: jr, items: []taskItem{{idx: i, cell: cell}}}
-		}
-		return tasks
-	}
-	lanes := p.batchLanes
-	if perWorker := (len(cells) + p.workers - 1) / p.workers; perWorker < lanes {
-		lanes = perWorker
-	}
-	if lanes < 1 {
-		lanes = 1
-	}
-	groups, scalar := campaign.PlanBatches(cells, lanes)
-	tasks := make([]task, 0, len(groups)+len(scalar))
-	for _, g := range groups {
-		items := make([]taskItem, len(g))
-		for j, i := range g {
-			items[j] = taskItem{idx: i, cell: cells[i]}
-		}
-		tasks = append(tasks, task{jr: jr, items: items})
-	}
-	for _, i := range scalar {
-		tasks = append(tasks, task{jr: jr, items: []taskItem{{idx: i, cell: cells[i]}}})
-	}
-	sort.Slice(tasks, func(a, b int) bool { return tasks[a].items[0].idx < tasks[b].items[0].idx })
-	return tasks
 }
 
 // worker executes handed-off cells until the pool shuts down.
@@ -386,14 +316,8 @@ func (p *Pool) worker() {
 	}
 }
 
-// runTask executes one task with panic recovery and accounts the outcome.
-// Multi-item tasks are lockstep batches.
+// runTask executes one cell with panic recovery and accounts the outcome.
 func (p *Pool) runTask(t task) {
-	if len(t.items) > 1 {
-		p.runBatchTask(t)
-		return
-	}
-	it := t.items[0]
 	p.queued.Add(-1)
 	p.cellWait.Observe(time.Since(t.jr.submittedAt).Seconds())
 	t.jr.startOnce.Do(func() {
@@ -402,12 +326,12 @@ func (p *Pool) runTask(t task) {
 		_ = p.store.Start(t.jr.id)
 	})
 	if err := t.jr.ctx.Err(); err != nil {
-		p.finishCell(t.jr, it.idx, nil, "", err, true)
+		p.finishCell(t.jr, t.idx, nil, "", err, true)
 		return
 	}
 	p.busy.Add(1)
 	start := time.Now()
-	cellSpan := t.jr.tracer.Start(t.jr.jobSpan, telemetry.KindCell, it.cell.Key)
+	cellSpan := t.jr.tracer.Start(t.jr.jobSpan, telemetry.KindCell, t.cell.Key)
 	// The cell's first phase is the queue wait it just finished: submission
 	// to pickup, recorded retroactively so the trace timeline starts at
 	// submission rather than at first execution.
@@ -419,8 +343,8 @@ func (p *Pool) runTask(t task) {
 	var err error
 	// Label the worker goroutine for the duration of the cell, so CPU and
 	// goroutine profiles attribute samples to (job, cell).
-	pprof.Do(ctx, pprof.Labels("job", t.jr.id, "cell", it.cell.Key), func(ctx context.Context) {
-		row, ranBy, err = p.runner(ctx, t.jr.id, t.jr.spec, it.idx, it.cell)
+	pprof.Do(ctx, pprof.Labels("job", t.jr.id, "cell", t.cell.Key), func(ctx context.Context) {
+		row, ranBy, err = p.runner(ctx, t.jr.id, t.jr.spec, t.idx, t.cell)
 	})
 	if err != nil {
 		t.jr.tracer.End(cellSpan, telemetry.Str("error", err.Error()))
@@ -435,128 +359,9 @@ func (p *Pool) runTask(t task) {
 	// failure: the job finalizes as cancelled either way.
 	skipped := err != nil && t.jr.ctx.Err() != nil
 	if err != nil && !skipped {
-		p.log.Warn("cell failed", "cell", it.cell.Key, "job", t.jr.id, "err", err)
+		p.log.Warn("cell failed", "cell", t.cell.Key, "job", t.jr.id, "err", err)
 	}
-	p.finishCell(t.jr, it.idx, row, ranBy, err, skipped)
-}
-
-// runBatchTask executes a multi-cell task in-process as one lockstep batch:
-// each cell's prepare split yields its simulation lane, sim.RunBatch advances
-// all lanes together, and each cell's finish maps its result to the row the
-// scalar path would have produced. Rows are bit-identical to per-cell
-// execution because both paths run the exact same prepare/finish pair and
-// sim.RunBatch keeps every lane's observable sequence identical to sim.Run.
-func (p *Pool) runBatchTask(t task) {
-	jr := t.jr
-	p.queued.Add(-int64(len(t.items)))
-	wait := time.Since(jr.submittedAt).Seconds()
-	for range t.items {
-		p.cellWait.Observe(wait)
-	}
-	jr.startOnce.Do(func() {
-		_ = p.store.Start(jr.id)
-	})
-	if err := jr.ctx.Err(); err != nil {
-		for _, it := range t.items {
-			p.finishCell(jr, it.idx, nil, "", err, true)
-		}
-		return
-	}
-	p.busy.Add(1)
-	start := time.Now()
-	spans := make([]telemetry.SpanID, len(t.items))
-	runs := make([]sim.BatchRun, len(t.items))
-	fins := make([]experiments.FinishCell, len(t.items))
-	rows := make([]any, len(t.items))
-	cellErrs := make([]error, len(t.items))
-	live := make([]int, 0, len(t.items))
-	for i, it := range t.items {
-		spans[i] = jr.tracer.Start(jr.jobSpan, telemetry.KindCell, it.cell.Key)
-		jr.tracer.Record(spans[i], telemetry.KindPhase, "queue-wait",
-			jr.submittedAt.UnixMicro(), start.Sub(jr.submittedAt).Microseconds())
-		ctx := telemetry.ContextWithSpan(jr.ctx, jr.tracer, spans[i])
-		br, fin, err := prepareCell(ctx, it.cell)
-		if err != nil {
-			cellErrs[i] = err
-			continue
-		}
-		runs[i], fins[i] = br, fin
-		live = append(live, i)
-	}
-	if len(live) > 0 {
-		batch := make([]sim.BatchRun, len(live))
-		for j, i := range live {
-			batch[j] = runs[i]
-		}
-		var results []*sim.Result
-		var errs []error
-		// Label the worker goroutine for the duration of the batch, so CPU
-		// profiles attribute samples to the job (individual cells advance
-		// interleaved and cannot be told apart here).
-		pprof.Do(jr.ctx, pprof.Labels("job", jr.id, "cell", fmt.Sprintf("batch(%d)", len(batch))), func(context.Context) {
-			results, errs = runBatch(batch)
-		})
-		for j, i := range live {
-			if errs[j] != nil {
-				cellErrs[i] = errs[j]
-				continue
-			}
-			rows[i], cellErrs[i] = finishRow(fins[i], results[j], t.items[i].cell.Key)
-		}
-	}
-	elapsed := time.Since(start).Seconds()
-	for i, it := range t.items {
-		if err := cellErrs[i]; err != nil {
-			jr.tracer.End(spans[i], telemetry.Str("error", err.Error()))
-		} else {
-			jr.tracer.End(spans[i])
-		}
-		p.cellRun.Observe(elapsed)
-		skipped := cellErrs[i] != nil && jr.ctx.Err() != nil
-		if cellErrs[i] != nil && !skipped {
-			p.log.Warn("cell failed", "cell", it.cell.Key, "job", jr.id, "err", cellErrs[i])
-		}
-		p.finishCell(jr, it.idx, rows[i], "", cellErrs[i], skipped)
-	}
-	p.busy.Add(-1)
-}
-
-// prepareCell invokes the cell's prepare split, converting a panic into an
-// error so one bad cell cannot take its batch siblings down with it.
-func prepareCell(ctx context.Context, cell experiments.Cell) (br sim.BatchRun, fin experiments.FinishCell, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			br, fin, err = sim.BatchRun{}, nil, fmt.Errorf("service: cell %s prepare panicked: %v", cell.Key, r)
-		}
-	}()
-	return cell.Prepare(ctx)
-}
-
-// runBatch drives the lockstep batch, converting a panic into a per-lane
-// error so one bad batch cannot kill the worker fleet.
-func runBatch(batch []sim.BatchRun) (results []*sim.Result, errs []error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err := fmt.Errorf("service: batch of %d cells panicked: %v", len(batch), r)
-			results = make([]*sim.Result, len(batch))
-			errs = make([]error, len(batch))
-			for i := range errs {
-				errs[i] = err
-			}
-		}
-	}()
-	return sim.RunBatch(batch)
-}
-
-// finishRow maps one lane's result through the cell's finish closure,
-// converting a panic into an error.
-func finishRow(fin experiments.FinishCell, res *sim.Result, key string) (row any, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			row, err = nil, fmt.Errorf("service: cell %s finish panicked: %v", key, r)
-		}
-	}()
-	return fin(res)
+	p.finishCell(t.jr, t.idx, row, ranBy, err, skipped)
 }
 
 // runCell invokes the cell, converting a panic into an error so one bad

@@ -10,16 +10,14 @@ import (
 // completed Run contributes once, whichever goroutine (sequential runner or
 // pool worker) executed it.
 var (
-	simMetricsOnce  sync.Once
-	mRuns           *telemetry.Counter
-	mSteps          *telemetry.Counter
-	mSimSeconds     *telemetry.Counter
-	mAppSwitches    *telemetry.Counter
-	mCycles         *telemetry.Counter
-	mPeakTemp       *telemetry.Histogram
-	mAvgTemp        *telemetry.Histogram
-	mBatchLanes     *telemetry.Gauge
-	mBatchGroupSize *telemetry.Histogram
+	simMetricsOnce sync.Once
+	mRuns          *telemetry.Counter
+	mSteps         *telemetry.Counter
+	mSimSeconds    *telemetry.Counter
+	mAppSwitches   *telemetry.Counter
+	mCycles        *telemetry.Counter
+	mPeakTemp      *telemetry.Histogram
+	mAvgTemp       *telemetry.Histogram
 )
 
 func initSimMetrics() {
@@ -33,8 +31,5 @@ func initSimMetrics() {
 		tempBuckets := telemetry.LinearBuckets(45, 5, 13) // 45..105 C
 		mPeakTemp = reg.Histogram("sim_peak_temp_celsius", "Per-run peak temperature over the warm trace.", tempBuckets)
 		mAvgTemp = reg.Histogram("sim_avg_temp_celsius", "Per-run average temperature over the warm trace.", tempBuckets)
-		mBatchLanes = reg.Gauge("thermsim_batch_lanes", "Simulation lanes currently advancing inside batched (lockstep) groups.")
-		mBatchGroupSize = reg.Histogram("thermsim_batch_group_size", "Lanes per batch group at group launch (how well campaign cells coalesce).",
-			telemetry.ExponentialBuckets(1, 2, 9)) // 1..256 lanes
 	})
 }

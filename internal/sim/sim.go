@@ -13,7 +13,6 @@ import (
 	"repro/internal/reliability"
 	"repro/internal/rl"
 	"repro/internal/telemetry"
-	"repro/internal/thermal"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -178,75 +177,26 @@ type DecisionInfoProvider interface {
 // Run executes the workload under the policy until completion (or MaxSimS)
 // and returns the collected metrics.
 func Run(cfg RunConfig, work workload.Workload, policy Policy) (*Result, error) {
-	l, err := newLane(cfg, work, policy, nil)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		done, err := l.preStep()
-		if err != nil {
-			return nil, l.fail(err)
-		}
-		if done {
-			return l.finish(), nil
-		}
-		l.postStep()
-	}
-}
-
-// laneState is the per-run state of the simulation loop, factored out of Run
-// so the batch driver (RunBatch) can interleave many runs in lockstep. One
-// loop iteration of Run is exactly
-//
-//	done, err := l.preStep()   // Done/MaxSimS checks, oracle recording, p.Step()
-//	l.postStep()               // policy.Tick, step accounting
-//
-// For a scalar run p.Step() advances the thermal state immediately; for a
-// batch lane it only stages the power vector, and the driver calls the
-// batch's Advance between the two phases. Either way each lane's observable
-// sequence — temperatures read, powers computed, policy decisions — is
-// identical, which is what keeps batched results bit-identical to Run's.
-type laneState struct {
-	cfg     RunConfig
-	work    workload.Workload
-	policy  Policy
-	p       *platform.Platform
-	runSpan telemetry.SpanID
-	guard   *runGuard
-	windows *windowAgg
-	mt, pt  *trace.MultiTrace
-	// sc is the DiscardTrace scalar sink; at is an attribution-only streaming
-	// feed used when the trace is retained (sc == nil) but a sampler wants
-	// per-cycle damage attribution.
-	sc, at     *scalarCollector
-	learn      *rl.LearningSampler
-	nextRecord float64
-	steps      int64
-}
-
-// newLane performs everything Run does before its step loop: platform
-// construction (with the externally supplied stepper, if any), policy
-// attachment, observability arming and collector setup. st == nil builds the
-// platform's own solver (the scalar path).
-func newLane(cfg RunConfig, work workload.Workload, policy Policy, st thermal.Stepper) (*laneState, error) {
 	if cfg.RecordIntervalS <= 0 {
 		return nil, fmt.Errorf("sim: RecordIntervalS must be positive, got %g", cfg.RecordIntervalS)
 	}
 	initSimMetrics()
-	l := &laneState{cfg: cfg, work: work, policy: policy}
+	var runSpan telemetry.SpanID
 	if cfg.Tracer != nil {
-		l.runSpan = cfg.Tracer.Start(cfg.TraceParent, telemetry.KindRun,
+		runSpan = cfg.Tracer.Start(cfg.TraceParent, telemetry.KindRun,
 			policy.Name()+"/"+work.Name(),
 			telemetry.Str("policy", policy.Name()),
 			telemetry.Str("workload", work.Name()))
 	}
-	if st != nil {
-		l.p = platform.NewWithStepper(cfg.Platform, work, st)
-	} else {
-		l.p = platform.New(cfg.Platform, work)
+	fail := func(err error) (*Result, error) {
+		if cfg.Tracer != nil {
+			cfg.Tracer.End(runSpan, telemetry.Str("error", err.Error()))
+		}
+		return nil, err
 	}
-	if err := policy.Attach(l.p); err != nil {
-		return nil, l.fail(fmt.Errorf("sim: attach %s: %w", policy.Name(), err))
+	p := platform.New(cfg.Platform, work)
+	if err := policy.Attach(p); err != nil {
+		return fail(fmt.Errorf("sim: attach %s: %w", policy.Name(), err))
 	}
 	if cfg.Recorder != nil {
 		if ra, ok := policy.(RecorderAttacher); ok {
@@ -255,128 +205,107 @@ func newLane(cfg RunConfig, work workload.Workload, policy Policy, st thermal.St
 	}
 	if cfg.Tracer != nil {
 		if ta, ok := policy.(TracerAttacher); ok {
-			ta.AttachTracer(cfg.Tracer, l.runSpan)
+			ta.AttachTracer(cfg.Tracer, runSpan)
 		}
 	}
+	var learn *rl.LearningSampler
 	if cfg.LearningObserver != nil {
 		if la, ok := policy.(LearningAttacher); ok {
-			l.learn = rl.NewLearningSampler(0)
-			la.AttachLearningSampler(l.learn)
+			learn = rl.NewLearningSampler(0)
+			la.AttachLearningSampler(learn)
 		}
 	}
-	l.guard = newRunGuard(cfg, policy.Name()+"/"+work.Name())
-	l.windows = newWindowAgg(cfg, l.runSpan)
+	guard := newRunGuard(cfg, policy.Name()+"/"+work.Name())
+	windows := newWindowAgg(cfg, runSpan)
+	var mt, pt *trace.MultiTrace
+	var sc *scalarCollector
+	// at is an attribution-only streaming feed used when the trace is
+	// retained (sc == nil) but a sampler wants per-cycle damage attribution.
+	var at *scalarCollector
 	if cfg.DiscardTrace {
-		l.sc = newScalarCollector(cfg, l.p.NumCores())
+		sc = newScalarCollector(cfg, p.NumCores())
 	} else {
 		// Pre-size the series so the recording loop never grows a slice
 		// mid-run. The estimate is the serialized-at-lowest-frequency upper
 		// bound on execution time, clamped to the runaway limit; in the rare
 		// case a run outlasts it, append simply grows.
 		capacity := traceCapacity(cfg, work)
-		l.mt = trace.NewMultiTraceCap(l.p.NumCores(), cfg.RecordIntervalS, capacity)
-		l.pt = trace.NewMultiTraceCap(l.p.NumCores(), cfg.RecordIntervalS, capacity)
-		if l.learn != nil {
+		mt = trace.NewMultiTraceCap(p.NumCores(), cfg.RecordIntervalS, capacity)
+		pt = trace.NewMultiTraceCap(p.NumCores(), cfg.RecordIntervalS, capacity)
+		if learn != nil {
 			if _, ok := policy.(DecisionInfoProvider); ok {
-				l.at = newScalarCollector(cfg, l.p.NumCores())
+				at = newScalarCollector(cfg, p.NumCores())
 			}
 		}
 	}
-	if l.learn != nil {
+	if learn != nil {
 		if dp, ok := policy.(DecisionInfoProvider); ok {
-			feed := l.sc
+			feed := sc
 			if feed == nil {
-				feed = l.at
+				feed = at
 			}
 			if feed != nil {
-				armAttribution(feed.accs, dp, l.learn)
+				armAttribution(feed.accs, dp, learn)
 			}
 		}
 	}
-	return l, nil
-}
-
-// fail ends the run span with the error and returns it.
-func (l *laneState) fail(err error) error {
-	if l.cfg.Tracer != nil {
-		l.cfg.Tracer.End(l.runSpan, telemetry.Str("error", err.Error()))
-	}
-	return err
-}
-
-// preStep runs one loop iteration up to and including p.Step(): the
-// completion and runaway checks, oracle-trace recording when due, then the
-// platform step. done reports workload completion (finish may be called); a
-// non-nil error means the lane failed (pass it through fail).
-func (l *laneState) preStep() (done bool, err error) {
-	p, cfg := l.p, &l.cfg
-	if p.Done() {
-		return true, nil
-	}
-	if p.Now() >= cfg.MaxSimS {
-		return false, fmt.Errorf("sim: %s on %s exceeded max sim time %g s (completed %.1f%% of work)",
-			l.policy.Name(), l.work.Name(), cfg.MaxSimS, 100*l.work.CompletedWork()/l.work.TotalWork())
-	}
-	if p.Now()+1e-9 >= l.nextRecord {
-		temps := p.Temperatures()
-		power := p.CorePower()
-		if l.sc != nil {
-			l.sc.push(temps)
-		} else {
-			l.mt.Append(temps)
-			l.pt.Append(power)
-			if l.at != nil {
-				l.at.push(temps)
+	nextRecord := 0.0
+	steps := int64(0)
+	for !p.Done() {
+		if p.Now() >= cfg.MaxSimS {
+			return fail(fmt.Errorf("sim: %s on %s exceeded max sim time %g s (completed %.1f%% of work)",
+				policy.Name(), work.Name(), cfg.MaxSimS, 100*work.CompletedWork()/work.TotalWork()))
+		}
+		if p.Now()+1e-9 >= nextRecord {
+			temps := p.Temperatures()
+			power := p.CorePower()
+			if sc != nil {
+				sc.push(temps)
+			} else {
+				mt.Append(temps)
+				pt.Append(power)
+				if at != nil {
+					at.push(temps)
+				}
 			}
+			if guard != nil {
+				guard.sample(p.Now(), temps)
+			}
+			if windows != nil {
+				windows.sample(p.Now(), temps, power)
+			}
+			nextRecord += cfg.RecordIntervalS
 		}
-		if l.guard != nil {
-			l.guard.sample(p.Now(), temps)
-		}
-		if l.windows != nil {
-			l.windows.sample(p.Now(), temps, power)
-		}
-		l.nextRecord += cfg.RecordIntervalS
+		p.Step()
+		policy.Tick(p)
+		steps++
 	}
-	p.Step()
-	return false, nil
-}
-
-// postStep completes the loop iteration after the thermal state advanced:
-// the policy observes the post-step platform and the step is accounted.
-func (l *laneState) postStep() {
-	l.policy.Tick(l.p)
-	l.steps++
-}
-
-// finish runs Run's epilogue on a completed lane and returns the result.
-func (l *laneState) finish() *Result {
-	cfg, p := &l.cfg, l.p
-	mSteps.Add(l.steps)
-	if l.windows != nil {
-		l.windows.flush(p.Now())
+	mSteps.Add(steps)
+	if windows != nil {
+		windows.flush(p.Now())
 	}
 	if cfg.AgentObserver != nil {
-		if ap, ok := l.policy.(AgentProvider); ok {
+		if ap, ok := policy.(AgentProvider); ok {
 			if a := ap.LearningAgent(); a != nil {
 				cfg.AgentObserver(a)
 			}
 		}
 	}
-	if l.at != nil {
+	if at != nil {
 		// Flush the attribution feed's residual half cycles (attributed to
 		// the final decision, the one still in force when the run ended).
-		l.at.drain(*cfg)
+		at.drain(cfg)
 	}
-	res := collect(*cfg, p, l.mt, l.pt, l.sc, l.policy.Name(), l.work.Name())
-	if l.learn != nil {
-		l.learn.Finalize()
-		cfg.LearningObserver(l.policy.Name(), l.work.Name(), l.learn)
+	res := collect(cfg, p, mt, pt, sc, policy.Name(), work.Name())
+	if learn != nil {
+		learn.Finalize()
+		cfg.LearningObserver(policy.Name(), work.Name(), learn)
 	}
-	if l.guard != nil {
-		l.guard.finals(res)
+	if guard != nil {
+		guard.finals(res)
 	}
 	if cfg.Tracer != nil {
-		cfg.Tracer.End(l.runSpan,
+		cfg.Tracer.End(runSpan,
 			telemetry.Num("exec_time_s", res.ExecTimeS),
 			telemetry.Num("peak_c", res.PeakTempC),
 			telemetry.Num("avg_c", res.AvgTempC),
@@ -385,7 +314,7 @@ func (l *laneState) finish() *Result {
 			telemetry.Num("combined_mttf_y", res.CombinedMTTF),
 			telemetry.Num("migrations", float64(res.Migrations)))
 	}
-	return res
+	return res, nil
 }
 
 func collect(cfg RunConfig, p *platform.Platform, mt, pt *trace.MultiTrace, sc *scalarCollector, policy, wl string) *Result {

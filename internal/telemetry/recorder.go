@@ -66,12 +66,14 @@ type DecisionEvent struct {
 const DefaultRecorderCapacity = 8192
 
 // Recorder is a bounded ring buffer of decision events: once full, new
-// events overwrite the oldest, so the newest N survive. It is safe for
-// concurrent use — several simulation cells of one job may record into the
-// same recorder while an HTTP handler drains it.
+// events overwrite the oldest, so the newest N survive. The ring grows by
+// append up to its limit, so a short job never pays for the full capacity.
+// It is safe for concurrent use — several simulation cells of one job may
+// record into the same recorder while an HTTP handler drains it.
 type Recorder struct {
 	mu      sync.Mutex
 	buf     []DecisionEvent
+	limit   int
 	next    int
 	full    bool
 	dropped int64
@@ -102,7 +104,7 @@ func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultRecorderCapacity
 	}
-	return &Recorder{buf: make([]DecisionEvent, 0, capacity)}
+	return &Recorder{limit: capacity}
 }
 
 // Record appends one event, overwriting the oldest when full. NaN rewards
@@ -114,7 +116,7 @@ func (r *Recorder) Record(ev DecisionEvent) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.total++
-	if !r.full && len(r.buf) < cap(r.buf) {
+	if !r.full && len(r.buf) < r.limit {
 		r.buf = append(r.buf, ev)
 		return
 	}

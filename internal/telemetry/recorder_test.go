@@ -43,8 +43,11 @@ func TestRecorderBelowCapacity(t *testing.T) {
 
 func TestRecorderDefaultCapacity(t *testing.T) {
 	r := NewRecorder(0)
-	if cap(r.buf) != DefaultRecorderCapacity {
-		t.Errorf("capacity = %d, want %d", cap(r.buf), DefaultRecorderCapacity)
+	for i := 0; i <= DefaultRecorderCapacity; i++ {
+		r.Record(DecisionEvent{Epoch: i + 1})
+	}
+	if r.Len() != DefaultRecorderCapacity || r.Dropped() != 1 {
+		t.Errorf("len = %d, dropped = %d, want %d and 1", r.Len(), r.Dropped(), DefaultRecorderCapacity)
 	}
 }
 

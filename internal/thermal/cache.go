@@ -11,8 +11,8 @@ import (
 // construction pays an O(n^3) LU factorization plus n back-solves. The cache
 // keys the finished fixedUpdate by the exact float64 bit patterns of every
 // physical parameter, so value-identical configurations share one immutable
-// A/B/c matrix set: the factorization runs once, and every stepper (scalar or
-// batch lane) streams the same cache-resident memory.
+// A/B/c matrix set: the factorization runs once, and every stepper streams
+// the same cache-resident memory.
 //
 // The key is an exact byte string, not a hash, so a collision cannot silently
 // corrupt the physics: either every bit of the configuration matches or the

@@ -68,15 +68,13 @@ type FixedStepper struct {
 
 // fixedUpdate is the precomputed constant-dt linear map T' = A*T + B*P + c of
 // one (Network, dt) configuration. It is immutable after construction, so any
-// number of steppers (and batch lanes) may share one instance concurrently;
+// number of steppers may share one instance concurrently;
 // sharedUpdate dedupes construction behind a keyed cache so identical
 // configurations pay the O(n^3) factorization once.
 type fixedUpdate struct {
-	n       int
-	dt      float64
-	ambient float64
-	ab      []float64
-	c       []float64
+	n  int
+	ab []float64
+	c  []float64
 }
 
 // newFixedUpdate factors the system matrix and materializes A, B and c.
@@ -93,11 +91,9 @@ func newFixedUpdate(net *Network, dt float64) (*fixedUpdate, error) {
 		return nil, err
 	}
 	u := &fixedUpdate{
-		n:       n,
-		dt:      dt,
-		ambient: net.Ambient(),
-		ab:      make([]float64, 2*n*n),
-		c:       make([]float64, n),
+		n:  n,
+		ab: make([]float64, 2*n*n),
+		c:  make([]float64, n),
 	}
 	// Column j of B is M^-1 e_j; column j of A is (C_j/dt) * that column.
 	e := make([]float64, n)

@@ -202,3 +202,30 @@ func BenchmarkFixedStep(b *testing.B) {
 		}
 	})
 }
+
+// TestFixedStepperSharesUpdate checks the factorization cache: steppers over
+// value-identical configurations share one precomputed update, and a
+// different dt does not.
+func TestFixedStepperSharesUpdate(t *testing.T) {
+	cfg := DefaultFloorplanConfig()
+	a := GridFloorplan(3, 3, cfg)
+	b := GridFloorplan(3, 3, cfg)
+	s1, err := NewFixedStepper(a.Net, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := NewFixedStepper(b.Net, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &s1.ab[0] != &s2.ab[0] {
+		t.Error("two FixedSteppers with value-identical configs should share one cached update")
+	}
+	s3, err := NewFixedStepper(a.Net, 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &s3.ab[0] == &s1.ab[0] {
+		t.Error("different dt must not share a cached update")
+	}
+}
