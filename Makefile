@@ -6,7 +6,7 @@ GOFMT ?= gofmt
 # Committed benchmark baseline that bench-compare diffs against.
 BENCH_BASELINE ?= BENCH_pr4.json
 # Where `make bench` writes its machine-readable summary.
-BENCH_OUT ?= BENCH_pr12.json
+BENCH_OUT ?= BENCH_pr13.json
 
 all: ci
 
@@ -62,12 +62,14 @@ tournament-test:
 learning-test:
 	$(GO) test -race -run 'TestLearning|TestCurve|TestLeaderboardTieBreak' ./internal/rl ./internal/sim ./internal/campaign ./internal/service ./internal/durable
 
-# Fuzz smoke: a bounded run of FuzzParseSpec (the decoder of the untrusted
-# POST /v1/campaigns body) on top of its committed seed corpus under
-# testdata/fuzz/. A crasher is written into that corpus, where plain
-# `go test` replays it from then on.
+# Fuzz smoke: bounded runs of the decoders of untrusted bytes, each on top of
+# its committed seed corpus under testdata/fuzz/: FuzzParseSpec (the
+# POST /v1/campaigns body) and FuzzDecodeCellRow (journaled and
+# cluster-returned cell rows). A crasher is written into that corpus, where
+# plain `go test` replays it from then on.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/campaign
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCellRow$$' -fuzztime 10s ./internal/experiments
 
 # Full benchmark sweep (quick-mode experiment regeneration plus the
 # micro-benchmarks of every package). The human-readable benchstat text is

@@ -25,14 +25,21 @@ func benchCfg() experiments.Config {
 	return cfg
 }
 
+// benchRows runs experiment id under benchCfg and returns its rows as T.
+func benchRows[T any](b *testing.B, id string) T {
+	b.Helper()
+	rows, err := experiments.RunRows(benchCfg(), id)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rows.(T)
+}
+
 // BenchmarkFig1 regenerates the motivational experiment: affinity changes
 // the thermal character of face recognition vs mpeg encoding.
 func BenchmarkFig1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig1(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := benchRows[*experiments.Fig1Result](b, "fig1")
 		if i == 0 {
 			for _, row := range r.Rows {
 				if row.App == "mpeg_enc" && row.Assignment == "fixed-affinity" {
@@ -48,10 +55,7 @@ func BenchmarkFig1(b *testing.B) {
 // Linux (the paper: ~2x average intra-application improvement).
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cells, err := experiments.Table2(context.Background(), benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
+		cells := benchRows[[]experiments.Table2Cell](b, "table2")
 		if i == 0 {
 			b.ReportMetric(agingImprovement(cells), "agingMTTFgain_x")
 		}
@@ -86,10 +90,7 @@ func agingImprovement(cells []experiments.Table2Cell) float64 {
 // ~5x vs Linux).
 func BenchmarkFig3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig3(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := benchRows[[]experiments.Fig3Row](b, "fig3")
 		if i == 0 {
 			var sum float64
 			var n int
@@ -108,10 +109,7 @@ func BenchmarkFig3(b *testing.B) {
 // exploitation-phase temperature reduction vs Linux.
 func BenchmarkFig45(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig45(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := benchRows[*experiments.Fig45Result](b, "fig45")
 		if i == 0 {
 			b.ReportMetric(r.LinuxExploitAvgC-r.ProposedExploitAvgC, "exploitCooling_C")
 		}
@@ -122,10 +120,7 @@ func BenchmarkFig45(b *testing.B) {
 // MTTF over-estimation factor of the coarsest interval vs the finest.
 func BenchmarkFig6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig6(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := benchRows[[]experiments.Fig6Row](b, "fig6")
 		if i == 0 && len(rows) > 1 {
 			b.ReportMetric(rows[len(rows)-1].ComputedMTTF/rows[0].ComputedMTTF, "mttfOverestimate_x")
 		}
@@ -136,10 +131,7 @@ func BenchmarkFig6(b *testing.B) {
 // learning-time growth from the smallest to the largest epoch.
 func BenchmarkFig7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig7(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := benchRows[[]experiments.Fig7Row](b, "fig7")
 		if i == 0 && len(rows) > 1 {
 			b.ReportMetric(rows[len(rows)-1].NormLearningTime, "learnTimeGrowth_x")
 		}
@@ -150,10 +142,7 @@ func BenchmarkFig7(b *testing.B) {
 // growth from the smallest to the largest Q-table.
 func BenchmarkFig8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig8(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := benchRows[[]experiments.Fig8Row](b, "fig8")
 		if i == 0 && len(rows) > 1 {
 			first, last := rows[0], rows[len(rows)-1]
 			if first.Iterations > 0 {
@@ -168,10 +157,7 @@ func BenchmarkFig8(b *testing.B) {
 // ~30%, average ~10%).
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cells, err := experiments.PerfEnergyGrid(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
+		cells := benchRows[[]experiments.PerfEnergyCell](b, "table3")
 		if i == 0 {
 			var od, pr float64
 			for _, c := range cells {
@@ -196,10 +182,7 @@ func BenchmarkTable3(b *testing.B) {
 // ~10% dynamic-energy saving vs the Ge baseline).
 func BenchmarkFig9(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cells, err := experiments.PerfEnergyGrid(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
+		cells := benchRows[[]experiments.PerfEnergyCell](b, "table3")
 		if i == 0 {
 			var od, pr float64
 			for _, c := range cells {
@@ -219,19 +202,16 @@ func BenchmarkFig9(b *testing.B) {
 	}
 }
 
-// BenchmarkPooledSuite compares the sequential quick suite against the job
+// BenchmarkPooledSuite compares the quick suite run in-process through
+// experiments.RunRows (its cells on GOMAXPROCS goroutines) against the job
 // service's pooled execution at 1, 2 and 4 workers. The pooled rows are
-// bit-identical to the sequential ones (asserted by the service tests);
-// this benchmark measures the wall-clock side of that trade.
+// bit-identical to RunRows' (asserted by the service tests); this benchmark
+// measures the wall-clock side of that trade.
 func BenchmarkPooledSuite(b *testing.B) {
 	discardLogs(b)
-	b.Run("sequential", func(b *testing.B) {
+	b.Run("runrows", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			rows, err := experiments.Suite(context.Background(), benchCfg())
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(rows) == 0 {
+			if rows := benchRows[[]experiments.SuiteRow](b, "suite"); len(rows) == 0 {
 				b.Fatal("no rows")
 			}
 		}
@@ -277,10 +257,7 @@ func discardLogs(b *testing.B) {
 // (contribution 2) on tachyon.
 func BenchmarkAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Ablation(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := benchRows[[]experiments.AblationRow](b, "ablation")
 		if i == 0 {
 			var full, coupled float64
 			for _, r := range rows {

@@ -11,6 +11,11 @@
 // plus the repository's ablation, seeds (RL-seed robustness) and manycore
 // (scalability) studies. -json emits machine-readable rows.
 //
+// Each experiment runs as independent cells, one simulation run each, on all
+// cores (GOMAXPROCS goroutines); the rows do not depend on the core count.
+// Runs with -events or -save-agent execute their cells one at a time, since
+// the event order and the "last run" are defined by cell order.
+//
 // -events FILE dumps the RL controller's decision trace (one JSON event per
 // epoch: state bin, action, reward, q_reset/snapshot_restore markers) to
 // FILE after the experiments finish; "-" writes to stderr so it composes
@@ -157,8 +162,8 @@ func main() {
 		cfg.Run.AgentObserver = func(a *rl.Agent) { lastAgent = a }
 	}
 
-	// Campaign-shaped experiments abort between cells on ^C instead of
-	// finishing a potentially hour-long sweep.
+	// Experiments abort between cells on ^C instead of finishing a
+	// potentially hour-long sweep.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
@@ -216,10 +221,11 @@ func main() {
 }
 
 // runCampaign expands the tournament document on cfg.CampaignJSON, runs its
-// cells sequentially and prints the per-policy leaderboard: aligned text (or
-// -json), plus a deterministic CSV surface when csvPath is set. The rows are
-// bit-identical to the same document submitted to thermserved, standalone or
-// clustered — that equivalence is what makes the CSV comparable across runs.
+// cells like an experiment's (experiments.RunCells) and prints the per-policy
+// leaderboard: aligned text (or -json), plus a deterministic CSV surface when
+// csvPath is set. The rows are bit-identical to the same document submitted
+// to thermserved, standalone or clustered — that equivalence is what makes
+// the CSV comparable across runs.
 func runCampaign(ctx context.Context, cfg experiments.Config, asJSON bool, csvPath string) {
 	spec, err := campaign.ParseSpec(cfg.CampaignJSON)
 	if err != nil {
@@ -231,22 +237,13 @@ func runCampaign(ctx context.Context, cfg experiments.Config, asJSON bool, csvPa
 		fmt.Fprintln(os.Stderr, "thermsim:", err)
 		os.Exit(1)
 	}
-	rows := make([]any, len(cells))
-	for i, cell := range cells {
-		if ctx.Err() != nil {
-			fmt.Fprintf(os.Stderr, "thermsim: interrupted after %d/%d cells\n", i, len(cells))
-			os.Exit(1)
-		}
-		start := time.Now()
-		row, err := cell.Run(ctx)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "thermsim: %s: %v\n", cell.Key, err)
-			os.Exit(1)
-		}
-		rows[i] = row
-		slog.Info("cell done", "cell", cell.Key, "n", i+1, "of", len(cells),
-			"wall", time.Since(start).Round(time.Millisecond))
+	start := time.Now()
+	rows, err := experiments.RunCells(ctx, cfg, cells)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "thermsim:", err)
+		os.Exit(1)
 	}
+	slog.Info("campaign done", "cells", len(cells), "wall", time.Since(start).Round(time.Millisecond))
 	trows := assemble(rows).([]campaign.Row)
 	entries := campaign.Leaderboard(trows)
 	if asJSON {

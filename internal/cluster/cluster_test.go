@@ -164,12 +164,13 @@ func TestClusterSecret(t *testing.T) {
 // TestClusterSuiteBitIdenticalWithKill is the acceptance criterion: a
 // 3-worker cluster runs the real quick suite campaign, one worker is killed
 // mid-job, the dead worker's leases are reassigned, and the aggregated rows
-// are still bit-identical to the sequential runner.
+// are still bit-identical to experiments.RunRows.
 func TestClusterSuiteBitIdenticalWithKill(t *testing.T) {
-	seq, err := experiments.Suite(context.Background(), experiments.Config{Run: experiments.DefaultConfig().Run, Quick: true})
+	seqAny, err := experiments.RunRows(experiments.Config{Run: experiments.DefaultConfig().Run, Quick: true}, "suite")
 	if err != nil {
 		t.Fatal(err)
 	}
+	seq := seqAny.([]experiments.SuiteRow)
 
 	tc := startTestCluster(t, testClusterConfig(), nil)
 	// The victim stalls its first assignment until the test kills it, so the

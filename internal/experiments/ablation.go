@@ -67,15 +67,16 @@ func AblationVariants() []string {
 	return []string{"full", "coupled-sampling", "no-hysteresis", "no-detection", "sarsa", "adaptive-sampling"}
 }
 
-// Ablation evaluates the contribution of each controller mechanism by
+// ablationPlan evaluates the contribution of each controller mechanism by
 // removing them one at a time, on an intra-application workload (tachyon)
-// and an inter-application sequence (mpegdec-tachyon-mpegenc):
+// and an inter-application sequence (mpegdec-tachyon-mpegenc), one run per
+// (workload, variant) cell:
 //
 //   - coupled-sampling removes the sampling-interval/decision-epoch
 //     separation (the paper's contribution 2);
 //   - no-hysteresis removes sticky action selection (see DESIGN.md);
 //   - no-detection removes the inter/intra workload-variation response.
-func Ablation(cfg Config) ([]AblationRow, error) {
+func ablationPlan(cfg Config) ([]planned, Assemble) {
 	type scenario struct {
 		name  string
 		build func() (workload.Workload, error)
@@ -91,39 +92,38 @@ func Ablation(cfg Config) ([]AblationRow, error) {
 		scenarios = scenarios[:1]
 		variants = []string{"full", "coupled-sampling"}
 	}
-	var rows []AblationRow
+	var runs []planned
 	for _, sc := range scenarios {
 		for _, v := range variants {
-			ctl, err := ablationVariant(v)
-			if err != nil {
-				return nil, err
-			}
-			work, err := sc.build()
-			if err != nil {
-				return nil, err
-			}
-			pol := &sim.ProposedPolicy{Config: &ctl}
-			// Rows need only scalars; stream them without the trace.
-			rc := cfg.Run
-			rc.DiscardTrace = true
-			r, err := sim.Run(rc, work, pol)
-			if err != nil {
-				return nil, fmt.Errorf("ablation %s/%s: %w", sc.name, v, err)
-			}
-			agent := pol.Controller().Agent()
-			rows = append(rows, AblationRow{
-				Workload:    sc.name,
-				Variant:     v,
-				AvgTempC:    r.AvgTempC,
-				CyclingMTTF: r.CyclingMTTF,
-				AgingMTTF:   r.AgingMTTF,
-				ExecTimeS:   r.ExecTimeS,
-				Relearns:    agent.Relearns(),
-				Restores:    agent.Restores(),
-			})
+			runs = append(runs, planned{sc.name + "/" + v, func(cfg Config) (any, error) {
+				ctl, err := ablationVariant(v)
+				if err != nil {
+					return nil, err
+				}
+				work, err := sc.build()
+				if err != nil {
+					return nil, err
+				}
+				pol := &sim.ProposedPolicy{Config: &ctl}
+				r, err := runScalars(cfg, work, pol)
+				if err != nil {
+					return nil, fmt.Errorf("ablation %s/%s: %w", sc.name, v, err)
+				}
+				agent := pol.Controller().Agent()
+				return AblationRow{
+					Workload:    sc.name,
+					Variant:     v,
+					AvgTempC:    r.AvgTempC,
+					CyclingMTTF: r.CyclingMTTF,
+					AgingMTTF:   r.AgingMTTF,
+					ExecTimeS:   r.ExecTimeS,
+					Relearns:    agent.Relearns(),
+					Restores:    agent.Restores(),
+				}, nil
+			}})
 		}
 	}
-	return rows, nil
+	return runs, assembleAs[AblationRow]
 }
 
 // FormatAblation renders the ablation table.

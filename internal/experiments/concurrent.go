@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -57,75 +55,44 @@ func buildMix(a, b string) (*workload.Concurrent, error) {
 	return workload.NewConcurrent(appA, appB), nil
 }
 
-// concurrentCell identifies one independently runnable (mix, policy) unit
-// of the concurrent-application campaign.
-type concurrentCell struct {
-	Mix    [2]string
-	Policy string
-}
-
-// concurrentCells enumerates the campaign's cells in table order.
-func concurrentCells(cfg Config) []concurrentCell {
+// concurrentPlan evaluates the paper's first future-work extension: two
+// applications co-scheduled on the chip, with 12 threads contending for the
+// four cores, under the three policies, one run per cell.
+func concurrentPlan(cfg Config) ([]planned, Assemble) {
 	mixes := concurrentMixes
 	if cfg.Quick {
 		mixes = mixes[:1]
 	}
-	cells := make([]concurrentCell, 0, len(mixes)*len(table2Policies))
+	var runs []planned
 	for _, mix := range mixes {
 		for _, pol := range table2Policies {
-			cells = append(cells, concurrentCell{Mix: mix, Policy: pol})
+			runs = append(runs, planned{mix[0] + "+" + mix[1] + "/" + pol, func(cfg Config) (any, error) {
+				con, err := buildMix(mix[0], mix[1])
+				if err != nil {
+					return nil, err
+				}
+				p, err := newPolicy(cfg, pol)
+				if err != nil {
+					return nil, err
+				}
+				r, err := runScalars(cfg, con, p)
+				if err != nil {
+					return nil, fmt.Errorf("concurrent %s/%s: %w", con.Name(), pol, err)
+				}
+				return ConcurrentRow{
+					Mix:          con.Name(),
+					Policy:       pol,
+					AvgTempC:     r.AvgTempC,
+					PeakTempC:    r.PeakTempC,
+					CyclingMTTF:  r.CyclingMTTF,
+					AgingMTTF:    r.AgingMTTF,
+					CombinedMTTF: r.CombinedMTTF,
+					ExecTimeS:    r.ExecTimeS,
+				}, nil
+			}})
 		}
 	}
-	return cells
-}
-
-// runConcurrentCell executes one cell of the concurrent campaign.
-func runConcurrentCell(cfg Config, c concurrentCell) (ConcurrentRow, error) {
-	con, err := buildMix(c.Mix[0], c.Mix[1])
-	if err != nil {
-		return ConcurrentRow{}, err
-	}
-	p, err := newPolicy(cfg, c.Policy)
-	if err != nil {
-		return ConcurrentRow{}, err
-	}
-	// Rows need only scalars; stream them without the trace.
-	rc := cfg.Run
-	rc.DiscardTrace = true
-	r, err := sim.Run(rc, con, p)
-	if err != nil {
-		return ConcurrentRow{}, fmt.Errorf("concurrent %s/%s: %w", con.Name(), c.Policy, err)
-	}
-	return ConcurrentRow{
-		Mix:          con.Name(),
-		Policy:       c.Policy,
-		AvgTempC:     r.AvgTempC,
-		PeakTempC:    r.PeakTempC,
-		CyclingMTTF:  r.CyclingMTTF,
-		AgingMTTF:    r.AgingMTTF,
-		CombinedMTTF: r.CombinedMTTF,
-		ExecTimeS:    r.ExecTimeS,
-	}, nil
-}
-
-// Concurrent evaluates the paper's first future-work extension: two
-// applications co-scheduled on the chip, with 12 threads contending for the
-// four cores, under the three policies. Cancellation via ctx stops between
-// cells.
-func Concurrent(ctx context.Context, cfg Config) ([]ConcurrentRow, error) {
-	plan := concurrentCells(cfg)
-	rows := make([]ConcurrentRow, 0, len(plan))
-	for _, c := range plan {
-		if err := ctx.Err(); err != nil {
-			return rows, err
-		}
-		row, err := runConcurrentCell(cfg, c)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+	return runs, assembleAs[ConcurrentRow]
 }
 
 // FormatConcurrent renders the concurrent-application table.

@@ -1,7 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (Section 6) on the simulated platform. Each experiment has a
-// function returning typed rows plus a Format helper that prints the same
-// layout the paper reports. The cmd/thermsim binary and the repository's
+// evaluation (Section 6) on the simulated platform. Each experiment is a
+// plan of independent cells, one simulation run each, plus an assembler that
+// reduces their outputs to typed rows (Cells), and a Format helper that
+// prints the same layout the paper reports. RunRows executes the cells on
+// all cores; the cmd/thermsim binary, the job service and the repository's
 // benchmarks are thin wrappers over this package.
 package experiments
 
@@ -145,7 +147,8 @@ func (c Config) agentSeed() int64 {
 	return core.DefaultConfig().Agent.Seed
 }
 
-// runApp executes one (app, dataset, policy) combination.
+// runApp executes one (app, dataset, policy) combination for a row that
+// consumes only scalar metrics.
 func runApp(cfg Config, appName string, ds workload.DataSet, policy string) (*sim.Result, error) {
 	app, err := workload.ByName(appName, ds)
 	if err != nil {
@@ -155,11 +158,7 @@ func runApp(cfg Config, appName string, ds workload.DataSet, policy string) (*si
 	if err != nil {
 		return nil, err
 	}
-	// Row experiments consume only the scalar metrics, so the run streams
-	// them instead of retaining the oracle traces.
-	rc := cfg.Run
-	rc.DiscardTrace = true
-	return sim.Run(rc, app, pol)
+	return runScalars(cfg, app, pol)
 }
 
 // scenarioApps parses "mpegdec-tachyon-mpegenc" into its applications.
@@ -176,10 +175,58 @@ func scenarioApps(scenario string, ds workload.DataSet) (*workload.Sequence, err
 	return workload.NewSequence(apps...), nil
 }
 
-// Names of all experiments, in paper order, followed by the repository's
-// ablation study.
+// experiment is one registry entry: the plan of its runs and the text
+// report of its assembled rows.
+type experiment struct {
+	id     string
+	plan   func(Config) ([]planned, Assemble)
+	format func(rows any) string
+}
+
+// formatAs adapts a typed Format helper to assembled rows.
+func formatAs[T any](format func(T) string) func(any) string {
+	return func(rows any) string { return format(rows.(T)) }
+}
+
+// experimentTable lists every experiment in paper order, followed by the
+// repository's own studies. Table 3 and Fig. 9 share the perf/energy grid.
+var experimentTable = []experiment{
+	{"fig1", fig1Plan, formatAs(FormatFig1)},
+	{"table2", table2Plan, formatAs(FormatTable2)},
+	{"fig3", fig3Plan, formatAs(FormatFig3)},
+	{"fig45", fig45Plan, formatAs(FormatFig45)},
+	{"fig6", fig6Plan, formatAs(FormatFig6)},
+	{"fig7", fig7Plan, formatAs(FormatFig7)},
+	{"fig8", fig8Plan, formatAs(FormatFig8)},
+	{"table3", perfEnergyPlan, formatAs(FormatTable3)},
+	{"fig9", perfEnergyPlan, formatAs(FormatFig9)},
+	{"ablation", ablationPlan, formatAs(FormatAblation)},
+	{"seeds", seedStudyPlan, formatAs(FormatSeedStudy)},
+	{"manycore", manycorePlan, formatAs(FormatManycore)},
+	{"noise", noisePlan, formatAs(FormatNoiseStudy)},
+	{"suite", suitePlan, formatAs(FormatSuite)},
+	{"concurrent", concurrentPlan, formatAs(FormatConcurrent)},
+	{"library", libraryPlan, formatAs(FormatLibraryStudy)},
+}
+
+// lookup resolves an experiment id.
+func lookup(id string) (experiment, error) {
+	for _, e := range experimentTable {
+		if e.id == id {
+			return e, nil
+		}
+	}
+	return experiment{}, errUnknown(id)
+}
+
+// ExperimentNames lists all experiments, in paper order, followed by the
+// repository's own studies.
 func ExperimentNames() []string {
-	return []string{"fig1", "table2", "fig3", "fig45", "fig6", "fig7", "fig8", "table3", "fig9", "ablation", "seeds", "manycore", "noise", "suite", "concurrent", "library"}
+	names := make([]string, len(experimentTable))
+	for i, e := range experimentTable {
+		names[i] = e.id
+	}
+	return names
 }
 
 // Run executes an experiment by id and returns its formatted report.
@@ -190,154 +237,33 @@ func Run(cfg Config, id string) (string, error) {
 }
 
 // RunCtx executes an experiment by id under ctx and returns its formatted
-// report. Campaign-shaped experiments (suite, table2, seeds, concurrent)
-// observe cancellation between cells; the remaining single-shot experiments
-// run to completion.
+// report. Cancellation stops the experiment between cells.
 func RunCtx(ctx context.Context, cfg Config, id string) (string, error) {
-	switch id {
-	case "fig1":
-		r, err := Fig1(cfg)
-		if err != nil {
-			return "", err
-		}
-		return FormatFig1(r), nil
-	case "table2":
-		r, err := Table2(ctx, cfg)
-		if err != nil {
-			return "", err
-		}
-		return FormatTable2(r), nil
-	case "fig3":
-		r, err := Fig3(cfg)
-		if err != nil {
-			return "", err
-		}
-		return FormatFig3(r), nil
-	case "fig45":
-		r, err := Fig45(cfg)
-		if err != nil {
-			return "", err
-		}
-		return FormatFig45(r), nil
-	case "fig6":
-		r, err := Fig6(cfg)
-		if err != nil {
-			return "", err
-		}
-		return FormatFig6(r), nil
-	case "fig7":
-		r, err := Fig7(cfg)
-		if err != nil {
-			return "", err
-		}
-		return FormatFig7(r), nil
-	case "fig8":
-		r, err := Fig8(cfg)
-		if err != nil {
-			return "", err
-		}
-		return FormatFig8(r), nil
-	case "table3":
-		r, err := PerfEnergyGrid(cfg)
-		if err != nil {
-			return "", err
-		}
-		return FormatTable3(r), nil
-	case "fig9":
-		r, err := PerfEnergyGrid(cfg)
-		if err != nil {
-			return "", err
-		}
-		return FormatFig9(r), nil
-	case "ablation":
-		r, err := Ablation(cfg)
-		if err != nil {
-			return "", err
-		}
-		return FormatAblation(r), nil
-	case "seeds":
-		r, err := SeedStudy(ctx, cfg)
-		if err != nil {
-			return "", err
-		}
-		return FormatSeedStudy(r), nil
-	case "manycore":
-		r, err := Manycore(cfg)
-		if err != nil {
-			return "", err
-		}
-		return FormatManycore(r), nil
-	case "noise":
-		r, err := NoiseStudy(cfg)
-		if err != nil {
-			return "", err
-		}
-		return FormatNoiseStudy(r), nil
-	case "suite":
-		r, err := Suite(ctx, cfg)
-		if err != nil {
-			return "", err
-		}
-		return FormatSuite(r), nil
-	case "concurrent":
-		r, err := Concurrent(ctx, cfg)
-		if err != nil {
-			return "", err
-		}
-		return FormatConcurrent(r), nil
-	case "library":
-		r, err := LibraryStudy(cfg)
-		if err != nil {
-			return "", err
-		}
-		return FormatLibraryStudy(r), nil
-	default:
-		return "", fmt.Errorf("experiments: unknown experiment %q (want one of %v)", id, ExperimentNames())
+	rows, err := RunRowsCtx(ctx, cfg, id)
+	if err != nil {
+		return "", err
 	}
+	e, _ := lookup(id)
+	return e.format(rows), nil
 }
 
 // RunRows executes an experiment by id and returns its typed row data (for
-// machine-readable output); Table 3 and Fig. 9 share the PerfEnergyGrid rows.
+// machine-readable output); Table 3 and Fig. 9 share the PerfEnergyCell rows.
 func RunRows(cfg Config, id string) (any, error) {
 	return RunRowsCtx(context.Background(), cfg, id)
 }
 
-// RunRowsCtx is RunRows under a cancellable context.
+// RunRowsCtx is RunRows under a cancellable context. It executes the
+// experiment's cells (see RunCells for the width) and assembles them in plan
+// order. On error the rows assembled from the cells that succeeded come back
+// alongside the errors of the failed ones, joined in cell order.
 func RunRowsCtx(ctx context.Context, cfg Config, id string) (any, error) {
-	switch id {
-	case "fig1":
-		return Fig1(cfg)
-	case "table2":
-		return Table2(ctx, cfg)
-	case "fig3":
-		return Fig3(cfg)
-	case "fig45":
-		return Fig45(cfg)
-	case "fig6":
-		return Fig6(cfg)
-	case "fig7":
-		return Fig7(cfg)
-	case "fig8":
-		return Fig8(cfg)
-	case "table3", "fig9":
-		return PerfEnergyGrid(cfg)
-	case "ablation":
-		return Ablation(cfg)
-	case "seeds":
-		return SeedStudy(ctx, cfg)
-	case "manycore":
-		return Manycore(cfg)
-	case "noise":
-		return NoiseStudy(cfg)
-	case "suite":
-		return Suite(ctx, cfg)
-	case "concurrent":
-		return Concurrent(ctx, cfg)
-	case "library":
-		return LibraryStudy(cfg)
-	default:
-		return nil, fmt.Errorf("experiments: unknown experiment %q (want one of %v)", id, ExperimentNames())
+	cells, assemble, err := Cells(cfg, id)
+	if err != nil {
+		return nil, err
 	}
+	rows, err := RunCells(ctx, cfg, cells)
+	return assemble(rows), err
 }
 
 // tableWriter builds an aligned text table.

@@ -1,17 +1,34 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
 func quickCfg() Config {
 	return Config{Run: DefaultConfig().Run, Quick: true}
+}
+
+// rowsOf runs quick experiment id and returns its assembled rows as T.
+func rowsOf[T any](t *testing.T, id string) T {
+	t.Helper()
+	rows, err := RunRows(quickCfg(), id)
+	if err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	return rows.(T)
 }
 
 func TestNewPolicyKnownNames(t *testing.T) {
@@ -68,10 +85,7 @@ func TestExperimentNamesResolve(t *testing.T) {
 }
 
 func TestTable2Shapes(t *testing.T) {
-	cells, err := Table2(context.Background(), quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cells := rowsOf[[]Table2Cell](t, "table2")
 	// Quick mode: 3 apps x 1 set x 3 policies.
 	if len(cells) != 9 {
 		t.Fatalf("got %d cells, want 9", len(cells))
@@ -114,10 +128,7 @@ func TestTable2Shapes(t *testing.T) {
 }
 
 func TestFig3Shapes(t *testing.T) {
-	rows, err := Fig3(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := rowsOf[[]Fig3Row](t, "fig3")
 	if len(rows) != 6 { // 2 scenarios x 3 policies in quick mode
 		t.Fatalf("got %d rows, want 6", len(rows))
 	}
@@ -143,10 +154,7 @@ func TestFig3Shapes(t *testing.T) {
 }
 
 func TestFig6Shapes(t *testing.T) {
-	rows, err := Fig6(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := rowsOf[[]Fig6Row](t, "fig6")
 	if len(rows) != 3 {
 		t.Fatalf("got %d rows, want 3", len(rows))
 	}
@@ -168,10 +176,7 @@ func TestFig6Shapes(t *testing.T) {
 }
 
 func TestFig7Shapes(t *testing.T) {
-	rows, err := Fig7(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := rowsOf[[]Fig7Row](t, "fig7")
 	if len(rows) != 3 { // 1 app x 3 epochs in quick mode
 		t.Fatalf("got %d rows, want 3", len(rows))
 	}
@@ -187,10 +192,7 @@ func TestFig7Shapes(t *testing.T) {
 }
 
 func TestFig8Shapes(t *testing.T) {
-	rows, err := Fig8(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := rowsOf[[]Fig8Row](t, "fig8")
 	if len(rows) != 4 { // 2x2 sizes in quick mode
 		t.Fatalf("got %d rows, want 4", len(rows))
 	}
@@ -214,10 +216,7 @@ func TestFig8Shapes(t *testing.T) {
 }
 
 func TestPerfEnergyGridShapes(t *testing.T) {
-	cells, err := PerfEnergyGrid(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cells := rowsOf[[]PerfEnergyCell](t, "table3")
 	byPol := map[string]PerfEnergyCell{}
 	for _, c := range cells {
 		byPol[c.Policy] = c
@@ -243,10 +242,7 @@ func TestPerfEnergyGridShapes(t *testing.T) {
 }
 
 func TestFig1Shapes(t *testing.T) {
-	r, err := Fig1(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := rowsOf[*Fig1Result](t, "fig1")
 	if len(r.Rows) != 4 {
 		t.Fatalf("got %d rows, want 4", len(r.Rows))
 	}
@@ -279,10 +275,7 @@ func TestRepeatsResolution(t *testing.T) {
 }
 
 func TestAblationShapes(t *testing.T) {
-	rows, err := Ablation(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := rowsOf[[]AblationRow](t, "ablation")
 	if len(rows) != 2 { // 1 scenario x 2 variants in quick mode
 		t.Fatalf("got %d rows, want 2", len(rows))
 	}
@@ -306,10 +299,7 @@ func TestAblationUnknownVariant(t *testing.T) {
 }
 
 func TestSeedStudyShapes(t *testing.T) {
-	rows, err := SeedStudy(context.Background(), quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := rowsOf[[]SeedStudyRow](t, "seeds")
 	if len(rows) != 1 {
 		t.Fatalf("got %d rows, want 1 in quick mode", len(rows))
 	}
@@ -330,10 +320,7 @@ func TestSeedStudyShapes(t *testing.T) {
 }
 
 func TestManycoreShapes(t *testing.T) {
-	rows, err := Manycore(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := rowsOf[[]ManycoreRow](t, "manycore")
 	if len(rows) != 4 { // 2 grids x 2 policies in quick mode
 		t.Fatalf("got %d rows, want 4", len(rows))
 	}
@@ -380,26 +367,22 @@ func TestManycoreMappingsDegenerateGrids(t *testing.T) {
 }
 
 func TestRunRowsMatchesNames(t *testing.T) {
-	cfg := quickCfg()
+	rows, err := quickRowsWide()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, id := range ExperimentNames() {
-		rows, err := RunRows(cfg, id)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if rows == nil {
+		if string(rows[id]) == "null" {
 			t.Errorf("%s returned nil rows", id)
 		}
 	}
-	if _, err := RunRows(cfg, "nope"); err == nil {
+	if _, err := RunRows(quickCfg(), "nope"); err == nil {
 		t.Error("expected error for unknown id")
 	}
 }
 
 func TestConcurrentShapes(t *testing.T) {
-	rows, err := Concurrent(context.Background(), quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := rowsOf[[]ConcurrentRow](t, "concurrent")
 	if len(rows) != 3 { // 1 mix x 3 policies in quick mode
 		t.Fatalf("got %d rows, want 3", len(rows))
 	}
@@ -422,10 +405,7 @@ func TestConcurrentShapes(t *testing.T) {
 }
 
 func TestSuiteShapes(t *testing.T) {
-	rows, err := Suite(context.Background(), quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := rowsOf[[]SuiteRow](t, "suite")
 	if len(rows) != 8 { // 2 apps x 4 policies in quick mode
 		t.Fatalf("got %d rows, want 8", len(rows))
 	}
@@ -437,10 +417,7 @@ func TestSuiteShapes(t *testing.T) {
 }
 
 func TestNoiseStudyShapes(t *testing.T) {
-	rows, err := NoiseStudy(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := rowsOf[[]NoiseRow](t, "noise")
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows, want 2", len(rows))
 	}
@@ -454,10 +431,7 @@ func TestNoiseStudyShapes(t *testing.T) {
 }
 
 func TestLibraryStudyShapes(t *testing.T) {
-	rows, err := LibraryStudy(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := rowsOf[[]LibraryRow](t, "library")
 	if len(rows) != 2 { // 1 scenario x 2 variants in quick mode
 		t.Fatalf("got %d rows, want 2", len(rows))
 	}
@@ -488,91 +462,168 @@ func TestSuiteContinuesPastFailingCells(t *testing.T) {
 	// the first.
 	cfg := quickCfg()
 	cfg.Run.MaxSimS = 1
-	rows, err := Suite(context.Background(), cfg)
+	rows, err := RunRows(cfg, "suite")
 	if err == nil {
 		t.Fatal("expected joined per-cell errors")
 	}
-	if len(rows) != 0 {
-		t.Errorf("got %d rows, want 0 when every cell fails", len(rows))
+	if n := len(rows.([]SuiteRow)); n != 0 {
+		t.Errorf("got %d rows, want 0 when every cell fails", n)
 	}
 	for _, app := range []string{"face_rec", "sphinx"} {
 		if !strings.Contains(err.Error(), app) {
 			t.Errorf("joined error should mention %s cells: %v", app, err)
 		}
 	}
+	// The errors come back joined in cell order.
+	msg := err.Error()
+	if strings.Index(msg, "face_rec") > strings.Index(msg, "sphinx") {
+		t.Errorf("cell errors out of cell order: %v", err)
+	}
 }
 
 func TestCampaignCancellation(t *testing.T) {
+	// A cancelled context starts no cell: every experiment returns at once
+	// with context.Canceled and no rows.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	cfg := quickCfg()
-	if rows, err := Suite(ctx, cfg); !errors.Is(err, context.Canceled) || len(rows) != 0 {
-		t.Errorf("Suite: rows=%d err=%v, want no rows and context.Canceled", len(rows), err)
-	}
-	if _, err := Table2(ctx, cfg); !errors.Is(err, context.Canceled) {
-		t.Errorf("Table2: %v, want context.Canceled", err)
-	}
-	if _, err := SeedStudy(ctx, cfg); !errors.Is(err, context.Canceled) {
-		t.Errorf("SeedStudy: %v, want context.Canceled", err)
-	}
-	if _, err := Concurrent(ctx, cfg); !errors.Is(err, context.Canceled) {
-		t.Errorf("Concurrent: %v, want context.Canceled", err)
+	for _, id := range ExperimentNames() {
+		rows, err := RunRowsCtx(ctx, quickCfg(), id)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: %v, want context.Canceled", id, err)
+		}
+		if rows != nil && reflect.ValueOf(rows).Len() != 0 {
+			t.Errorf("%s: rows from a cancelled run: %v", id, rows)
+		}
 	}
 }
+
+// quickRowsJSON runs every quick experiment through RunRows at the given
+// GOMAXPROCS (the executor's width) and returns each one's rows as JSON.
+func quickRowsJSON(procs int) (map[string][]byte, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	out := map[string][]byte{}
+	for _, id := range ExperimentNames() {
+		rows, err := RunRows(quickCfg(), id)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", id, err)
+		}
+		if out[id], err = json.Marshal(rows); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// quickRowsWide is quickRowsJSON at width 4, computed once for the tests
+// that compare against it.
+var quickRowsWide = sync.OnceValues(func() (map[string][]byte, error) { return quickRowsJSON(4) })
 
 func TestCellsMatchSequentialRunners(t *testing.T) {
-	// Executing the cell plan in order must reproduce the sequential
-	// runner's rows bit for bit — the invariant the pooled job service
-	// relies on.
+	// Executing each experiment's cells one after another, in plan order,
+	// must reproduce RunRowsCtx's concurrently executed rows bit for bit —
+	// the invariant the pooled job service relies on — and every cell must
+	// be exactly one simulation run.
 	cfg := quickCfg()
 	ctx := context.Background()
-	seq, err := Suite(ctx, cfg)
+	simRuns := func() float64 {
+		v, _ := telemetry.Default().Value("sim_runs_total")
+		return v
+	}
+	got, err := quickRowsWide()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells, assemble, err := Cells(cfg, "suite")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cells) != len(seq) {
-		t.Fatalf("%d cells for %d sequential rows", len(cells), len(seq))
-	}
-	outs := make([]any, len(cells))
-	for i, c := range cells {
-		row, err := c.Run(ctx)
+	for _, id := range ExperimentNames() {
+		cells, assemble, err := Cells(cfg, id)
 		if err != nil {
-			t.Fatalf("%s: %v", c.Key, err)
+			t.Fatal(err)
 		}
-		outs[i] = row
-	}
-	got := assemble(outs).([]SuiteRow)
-	if len(got) != len(seq) {
-		t.Fatalf("assembled %d rows, want %d", len(got), len(seq))
-	}
-	for i := range got {
-		if got[i] != seq[i] {
-			t.Errorf("row %d differs: cells %+v vs sequential %+v", i, got[i], seq[i])
+		outs := make([]any, len(cells))
+		for i, c := range cells {
+			before := simRuns()
+			row, err := c.Run(ctx)
+			if err != nil {
+				t.Fatalf("%s: %v", c.Key, err)
+			}
+			if n := simRuns() - before; n != 1 {
+				t.Errorf("%s ran %v simulations, want 1", c.Key, n)
+			}
+			outs[i] = row
+		}
+		want, err := json.Marshal(assemble(outs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got[id], want) {
+			t.Errorf("%s: RunRows differs from the sequential cell loop", id)
 		}
 	}
 }
 
-func TestCellsSingleShotAndUnknown(t *testing.T) {
-	cells, assemble, err := Cells(quickCfg(), "fig6")
+func TestRunRowsWidthIndependent(t *testing.T) {
+	// The executor's width comes from GOMAXPROCS; the rows must not.
+	one, err := quickRowsJSON(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cells) != 1 {
-		t.Fatalf("fig6 should be a single cell, got %d", len(cells))
-	}
-	rows, err := cells[0].Run(context.Background())
+	four, err := quickRowsWide()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if assemble([]any{rows}) == nil {
-		t.Error("single-shot assembler dropped the rows")
+	for _, id := range ExperimentNames() {
+		if !bytes.Equal(one[id], four[id]) {
+			t.Errorf("%s: rows differ between width 1 and width 4", id)
+		}
+	}
+}
+
+func TestCellsPlanShapesAndUnknown(t *testing.T) {
+	// Every experiment plans one cell per simulation run — 266 runs at full
+	// fidelity — with unique keys under its id and a decoder for its rows.
+	total := 0
+	for _, id := range ExperimentNames() {
+		cells, assemble, err := Cells(DefaultConfig(), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cells) < 2 || assemble == nil {
+			t.Errorf("%s: %d cells", id, len(cells))
+		}
+		total += len(cells)
+		seen := map[string]bool{}
+		for _, c := range cells {
+			if !strings.HasPrefix(c.Key, id+"/") || seen[c.Key] {
+				t.Errorf("%s: bad or duplicate cell key %q", id, c.Key)
+			}
+			seen[c.Key] = true
+		}
+		if _, ok := cellRowDecoders[id]; !ok {
+			t.Errorf("%s: no cell row decoder", id)
+		}
+	}
+	if total != 266 {
+		t.Errorf("full-fidelity plan has %d cells, want 266", total)
 	}
 	if _, _, err := Cells(quickCfg(), "fig99"); err == nil {
 		t.Error("expected error for unknown experiment")
+	}
+}
+
+func TestAssembleWithMissingCells(t *testing.T) {
+	// A failed cell drops only its own row where one run is one row, while
+	// a reducing experiment (fig3 averages repeats and normalizes to Linux)
+	// assembles nothing from an incomplete set.
+	cells, suite, _ := Cells(quickCfg(), "suite")
+	if got := suite(make([]any, len(cells))).([]SuiteRow); len(got) != 0 {
+		t.Errorf("suite assembled %d rows from no cells", len(got))
+	}
+	cells, fig3, _ := Cells(quickCfg(), "fig3")
+	rows := make([]any, len(cells))
+	for i := 1; i < len(rows); i++ {
+		rows[i] = runMetrics{CyclingMTTF: 1, ExecTimeS: 1}
+	}
+	if got := fig3(rows); got != nil {
+		t.Errorf("fig3 assembled %v without its first cell", got)
 	}
 }
 
@@ -582,7 +633,7 @@ func TestConfigSeedThreadsIntoProposedPolicy(t *testing.T) {
 	run := func(seed int64) SuiteRow {
 		cfg := quickCfg()
 		cfg.Seed = seed
-		row, err := runSuiteCell(cfg, suiteCell{App: "face_rec", Policy: PolicyProposed})
+		row, err := runSuiteCell(cfg, "face_rec", PolicyProposed)
 		if err != nil {
 			t.Fatal(err)
 		}

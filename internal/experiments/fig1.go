@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -36,56 +37,72 @@ type Fig1Result struct {
 // threads each, cores 2 and 3 run one each.
 var fig1Slots = []int{0, 1, 2, 3, 0, 1}
 
-// Fig1 reproduces the motivational example of Section 3.
-func Fig1(cfg Config) (*Fig1Result, error) {
-	res := &Fig1Result{}
+// fig1Policy builds the policy of one thread assignment.
+func fig1Policy(assignment string) sim.Policy {
+	if assignment == "linux-default" {
+		return sim.LinuxPolicy{Kind: governor.Ondemand}
+	}
+	return &sim.FixedAffinityPolicy{Slots: fig1Slots, Kind: governor.Ondemand}
+}
+
+// fig1Plan reproduces the motivational example of Section 3: one cell per
+// (application, assignment) row, then the two back-to-back profiles. Each
+// cell yields a partial *Fig1Result that the assembler merges.
+func fig1Plan(Config) ([]planned, Assemble) {
+	var runs []planned
 	for _, appName := range []string{"face_rec", "mpeg_enc"} {
 		for _, assignment := range []string{"linux-default", "fixed-affinity"} {
-			app, err := workload.ByName(appName, workload.Set1)
-			if err != nil {
-				return nil, err
-			}
-			var pol sim.Policy
-			if assignment == "linux-default" {
-				pol = sim.LinuxPolicy{Kind: governor.Ondemand}
-			} else {
-				pol = &sim.FixedAffinityPolicy{Slots: fig1Slots, Kind: governor.Ondemand}
-			}
-			// Rows need only scalars; stream them without the trace.
-			rc := cfg.Run
-			rc.DiscardTrace = true
-			r, err := sim.Run(rc, app, pol)
-			if err != nil {
-				return nil, err
-			}
-			res.Rows = append(res.Rows, Fig1Row{
-				App:         appName,
-				Assignment:  assignment,
-				AvgTempC:    r.AvgTempC,
-				PeakTempC:   r.PeakTempC,
-				CyclingMTTF: r.CyclingMTTF,
-				AgingMTTF:   r.AgingMTTF,
-			})
+			runs = append(runs, planned{appName + "/" + assignment, func(cfg Config) (any, error) {
+				app, err := workload.ByName(appName, workload.Set1)
+				if err != nil {
+					return nil, err
+				}
+				r, err := runScalars(cfg, app, fig1Policy(assignment))
+				if err != nil {
+					return nil, err
+				}
+				return &Fig1Result{Rows: []Fig1Row{{
+					App:         appName,
+					Assignment:  assignment,
+					AvgTempC:    r.AvgTempC,
+					PeakTempC:   r.PeakTempC,
+					CyclingMTTF: r.CyclingMTTF,
+					AgingMTTF:   r.AgingMTTF,
+				}}}, nil
+			}})
 		}
 	}
-	// Back-to-back profile for plotting.
-	seq, err := scenarioApps("face_rec-mpeg_enc", workload.Set1)
-	if err != nil {
-		return nil, err
+	// Back-to-back profile for plotting, with the trace retained.
+	for _, assignment := range []string{"linux-default", "fixed-affinity"} {
+		runs = append(runs, planned{"face_rec-mpeg_enc/" + assignment, func(cfg Config) (any, error) {
+			seq, err := scenarioApps("face_rec-mpeg_enc", workload.Set1)
+			if err != nil {
+				return nil, err
+			}
+			r, err := sim.Run(cfg.Run, seq, fig1Policy(assignment))
+			if err != nil {
+				return nil, err
+			}
+			if assignment == "linux-default" {
+				return &Fig1Result{DefaultSeq: r}, nil
+			}
+			return &Fig1Result{PinnedSeq: r}, nil
+		}})
 	}
-	res.DefaultSeq, err = sim.Run(cfg.Run, seq, sim.LinuxPolicy{Kind: governor.Ondemand})
-	if err != nil {
-		return nil, err
+	assemble := func(rows []any) any {
+		parts, ok := complete[*Fig1Result](rows)
+		if !ok {
+			return nil
+		}
+		res := &Fig1Result{}
+		for _, p := range parts {
+			res.Rows = append(res.Rows, p.Rows...)
+			res.DefaultSeq = cmp.Or(p.DefaultSeq, res.DefaultSeq)
+			res.PinnedSeq = cmp.Or(p.PinnedSeq, res.PinnedSeq)
+		}
+		return res
 	}
-	seq, err = scenarioApps("face_rec-mpeg_enc", workload.Set1)
-	if err != nil {
-		return nil, err
-	}
-	res.PinnedSeq, err = sim.Run(cfg.Run, seq, &sim.FixedAffinityPolicy{Slots: fig1Slots, Kind: governor.Ondemand})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return runs, assemble
 }
 
 // FormatFig1 renders the motivational comparison.

@@ -36,65 +36,83 @@ var fig3Scenarios = []string{
 // Fig3Scenarios exposes the scenario list (for the CLI and docs).
 func Fig3Scenarios() []string { return append([]string(nil), fig3Scenarios...) }
 
-// Fig3 reproduces the inter-application evaluation: thermal-cycling MTTF of
-// {Linux ondemand, modified Ge et al. [7], Proposed} on six application
-// sequences, normalized to Linux. The modified baseline receives explicit
-// application-switch notifications; the proposed controller detects switches
-// autonomously from its stress/aging moving averages. Learning-based
-// policies are averaged over cfg.Repeats RL seeds to damp per-trajectory
-// variance.
-func Fig3(cfg Config) ([]Fig3Row, error) {
+// fig3Plan reproduces the inter-application evaluation: thermal-cycling
+// MTTF of {Linux ondemand, modified Ge et al. [7], Proposed} on six
+// application sequences, normalized to Linux. The modified baseline receives
+// explicit application-switch notifications; the proposed controller detects
+// switches autonomously from its stress/aging moving averages.
+// Learning-based policies are averaged over cfg.Repeats RL seeds to damp
+// per-trajectory variance, one cell per repeat.
+func fig3Plan(cfg Config) ([]planned, Assemble) {
 	scenarios := fig3Scenarios
 	if cfg.Quick {
 		scenarios = scenarios[:2]
 	}
 	policies := []string{PolicyLinuxOndemand, PolicyGeModified, PolicyProposed}
-	var rows []Fig3Row
+	reps := func(pol string) int {
+		if pol == PolicyLinuxOndemand {
+			return 1 // deterministic
+		}
+		return cfg.repeats()
+	}
+	var runs []planned
 	for _, sc := range scenarios {
-		var linux float64
 		for _, pol := range policies {
-			reps := cfg.repeats()
-			if pol == PolicyLinuxOndemand {
-				reps = 1 // deterministic
+			for rep := range reps(pol) {
+				runs = append(runs, planned{fmt.Sprintf("%s/%s/%d", sc, pol, rep), func(cfg Config) (any, error) {
+					seq, err := scenarioApps(sc, workload.Set1)
+					if err != nil {
+						return nil, err
+					}
+					p, err := fig3Policy(pol, rep)
+					if err != nil {
+						return nil, err
+					}
+					r, err := runScalars(cfg, seq, p)
+					if err != nil {
+						return nil, fmt.Errorf("fig3 %s/%s: %w", sc, pol, err)
+					}
+					return metricsOf(r), nil
+				}})
 			}
-			var mttfSum, execSum float64
-			for rep := 0; rep < reps; rep++ {
-				seq, err := scenarioApps(sc, workload.Set1)
-				if err != nil {
-					return nil, err
-				}
-				p, err := fig3Policy(pol, rep)
-				if err != nil {
-					return nil, err
-				}
-				// Rows need only scalars; stream them without the trace.
-				rc := cfg.Run
-				rc.DiscardTrace = true
-				r, err := sim.Run(rc, seq, p)
-				if err != nil {
-					return nil, fmt.Errorf("fig3 %s/%s: %w", sc, pol, err)
-				}
-				mttfSum += r.CyclingMTTF
-				execSum += r.ExecTimeS
-			}
-			mttf := mttfSum / float64(reps)
-			if pol == PolicyLinuxOndemand {
-				linux = mttf
-			}
-			norm := 0.0
-			if linux > 0 {
-				norm = mttf / linux
-			}
-			rows = append(rows, Fig3Row{
-				Scenario:    sc,
-				Policy:      pol,
-				CyclingMTTF: mttf,
-				Normalized:  norm,
-				ExecTimeS:   execSum / float64(reps),
-			})
 		}
 	}
-	return rows, nil
+	assemble := func(rows []any) any {
+		all, ok := complete[runMetrics](rows)
+		if !ok {
+			return nil
+		}
+		var out []Fig3Row
+		for _, sc := range scenarios {
+			var linux float64
+			for _, pol := range policies {
+				n := reps(pol)
+				var mttfSum, execSum float64
+				for _, r := range all[:n] {
+					mttfSum += r.CyclingMTTF
+					execSum += r.ExecTimeS
+				}
+				all = all[n:]
+				mttf := mttfSum / float64(n)
+				if pol == PolicyLinuxOndemand {
+					linux = mttf
+				}
+				norm := 0.0
+				if linux > 0 {
+					norm = mttf / linux
+				}
+				out = append(out, Fig3Row{
+					Scenario:    sc,
+					Policy:      pol,
+					CyclingMTTF: mttf,
+					Normalized:  norm,
+					ExecTimeS:   execSum / float64(n),
+				})
+			}
+		}
+		return out
+	}
+	return runs, assemble
 }
 
 // fig3Policy builds a policy with a per-repeat RL seed.

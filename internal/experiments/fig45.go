@@ -27,60 +27,75 @@ type Fig45Result struct {
 	LinuxExploitAvgC, ProposedExploitAvgC float64
 }
 
-// Fig45 runs face recognition under Linux ondemand and the proposed
-// controller and extracts the exploration- and exploitation-phase profiles.
-func Fig45(cfg Config) (*Fig45Result, error) {
-	app, err := workload.ByName("face_rec", workload.Set1)
-	if err != nil {
-		return nil, err
+// fig45Plan runs face recognition under Linux ondemand and the proposed
+// controller, one cell each with the trace retained, and extracts the
+// exploration- and exploitation-phase profiles. Each cell yields a partial
+// *Fig45Result: its series, and for the proposed run the end of exploration.
+func fig45Plan(Config) ([]planned, Assemble) {
+	runs := []planned{
+		{PolicyLinuxOndemand, func(cfg Config) (any, error) {
+			app, err := workload.ByName("face_rec", workload.Set1)
+			if err != nil {
+				return nil, err
+			}
+			lin, err := sim.Run(cfg.Run, app, sim.LinuxPolicy{Kind: governor.Ondemand})
+			if err != nil {
+				return nil, err
+			}
+			return &Fig45Result{LinuxSeries: lin.Trace.MaxSeries()}, nil
+		}},
+		{PolicyProposed, func(cfg Config) (any, error) {
+			app, err := workload.ByName("face_rec", workload.Set1)
+			if err != nil {
+				return nil, err
+			}
+			pp := &sim.ProposedPolicy{History: true}
+			configureProposed(cfg, pp)
+			prop, err := sim.Run(cfg.Run, app, pp)
+			if err != nil {
+				return nil, err
+			}
+			res := &Fig45Result{ProposedSeries: prop.Trace.MaxSeries()}
+			// Find the end of the exploration phase from the controller
+			// history: the first epoch whose alpha dropped below the explore
+			// threshold.
+			hist := pp.Controller().History()
+			for _, h := range hist {
+				if h.Alpha < 0.55 {
+					res.ExplorationEndS = h.Time
+					break
+				}
+			}
+			if res.ExplorationEndS == 0 && len(hist) > 0 {
+				res.ExplorationEndS = hist[len(hist)-1].Time
+			}
+			return res, nil
+		}},
 	}
-	lin, err := sim.Run(cfg.Run, app, sim.LinuxPolicy{Kind: governor.Ondemand})
-	if err != nil {
-		return nil, err
-	}
-	app, err = workload.ByName("face_rec", workload.Set1)
-	if err != nil {
-		return nil, err
-	}
-	pp := &sim.ProposedPolicy{History: true}
-	configureProposed(cfg, pp)
-	prop, err := sim.Run(cfg.Run, app, pp)
-	if err != nil {
-		return nil, err
-	}
-
-	res := &Fig45Result{
-		LinuxSeries:    lin.Trace.MaxSeries(),
-		ProposedSeries: prop.Trace.MaxSeries(),
-	}
-	// Find the end of the exploration phase from the controller history:
-	// the first epoch whose alpha dropped below the explore threshold.
-	hist := pp.Controller().History()
-	for _, h := range hist {
-		if h.Alpha < 0.55 {
-			res.ExplorationEndS = h.Time
-			break
+	assemble := func(rows []any) any {
+		parts, ok := complete[*Fig45Result](rows)
+		if !ok {
+			return nil
 		}
+		res := *parts[1]
+		res.LinuxSeries = parts[0].LinuxSeries
+		window := func(s *trace.Series, fromS, toS float64) float64 {
+			from := int(fromS / s.IntervalS)
+			to := int(toS / s.IntervalS)
+			return trace.Mean(s.Window(from, to))
+		}
+		explEnd := res.ExplorationEndS
+		res.LinuxExploreAvgC = window(res.LinuxSeries, 0, explEnd)
+		res.ProposedExploreAvgC = window(res.ProposedSeries, 0, explEnd)
+		// Exploitation window: the final quarter of the proposed run,
+		// compared against the same relative window of the Linux run.
+		pDur := res.ProposedSeries.Duration()
+		lDur := res.LinuxSeries.Duration()
+		res.ProposedExploitAvgC = window(res.ProposedSeries, 0.75*pDur, pDur)
+		res.LinuxExploitAvgC = window(res.LinuxSeries, 0.75*lDur, lDur)
+		return &res
 	}
-	if res.ExplorationEndS == 0 && len(hist) > 0 {
-		res.ExplorationEndS = hist[len(hist)-1].Time
-	}
-
-	window := func(s *trace.Series, fromS, toS float64) float64 {
-		from := int(fromS / s.IntervalS)
-		to := int(toS / s.IntervalS)
-		return trace.Mean(s.Window(from, to))
-	}
-	explEnd := res.ExplorationEndS
-	res.LinuxExploreAvgC = window(res.LinuxSeries, 0, explEnd)
-	res.ProposedExploreAvgC = window(res.ProposedSeries, 0, explEnd)
-	// Exploitation window: the final quarter of the proposed run, compared
-	// against the same relative window of the Linux run.
-	pDur := res.ProposedSeries.Duration()
-	lDur := res.LinuxSeries.Duration()
-	res.ProposedExploitAvgC = window(res.ProposedSeries, 0.75*pDur, pDur)
-	res.LinuxExploitAvgC = window(res.LinuxSeries, 0.75*lDur, lDur)
-	return res, nil
+	return runs, assemble
 }
 
 // FormatFig45 renders the phase comparison.

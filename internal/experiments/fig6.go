@@ -26,72 +26,83 @@ type Fig6Row struct {
 	CacheMisses, PageFaults int64
 }
 
-// Fig6 sweeps the temperature sampling interval from 1 to 10 seconds on the
-// tachyon application under the proposed controller. The measurement-quality
-// quantities (computed MTTF and autocorrelation) are derived by re-sampling
-// one reference run's oracle trace at each interval — isolating the
-// estimation bias of the interval itself — while the monitoring-overhead
-// counters come from an actual controller run at that interval.
-func Fig6(cfg Config) ([]Fig6Row, error) {
+// fig6Plan sweeps the temperature sampling interval from 1 to 10 seconds on
+// the tachyon application under the proposed controller. The
+// measurement-quality quantities (computed MTTF and autocorrelation) are
+// derived by re-sampling one reference run's oracle trace at each interval —
+// isolating the estimation bias of the interval itself — while the
+// monitoring-overhead counters come from an actual controller run at that
+// interval. The reference cell yields every row's bias quantities, each
+// interval cell a one-row slice with its counters.
+func fig6Plan(cfg Config) ([]planned, Assemble) {
 	intervals := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	if cfg.Quick {
 		intervals = []float64{1, 3, 10}
 	}
-	// Reference run for the measurement-bias quantities.
-	refApp, err := workload.ByName("tachyon", workload.Set1)
-	if err != nil {
-		return nil, err
-	}
-	ref, err := sim.Run(cfg.Run, refApp, &sim.ProposedPolicy{})
-	if err != nil {
-		return nil, fmt.Errorf("fig6 reference run: %w", err)
-	}
-	var rows []Fig6Row
-	for _, interval := range intervals {
-		app, err := workload.ByName("tachyon", workload.Set1)
+	runs := []planned{{"reference", func(cfg Config) (any, error) {
+		refApp, err := workload.ByName("tachyon", workload.Set1)
 		if err != nil {
 			return nil, err
 		}
-		ctl := core.DefaultConfig()
-		ctl.SamplingIntervalS = interval
-		// Keep the decision epoch near 30 s regardless of the interval.
-		ctl.EpochSamples = int(math.Max(2, math.Round(30/interval)))
-		pol := &sim.ProposedPolicy{Config: &ctl}
-		// Only the overhead counters are read from this run; the
-		// measurement-bias quantities come from the retained reference trace.
-		rc := cfg.Run
-		rc.DiscardTrace = true
-		r, err := sim.Run(rc, app, pol)
+		ref, err := sim.Run(cfg.Run, refApp, &sim.ProposedPolicy{})
 		if err != nil {
-			return nil, fmt.Errorf("fig6 interval %.0fs: %w", interval, err)
+			return nil, fmt.Errorf("fig6 reference run: %w", err)
 		}
-		// Re-sample the reference trace at the sensor interval: this is
-		// what a controller sampling at this rate would measure.
-		k := int(math.Round(interval / ref.Trace.IntervalS))
-		if k < 1 {
-			k = 1
-		}
-		worst := math.Inf(1)
-		var ac float64
-		for i, s := range ref.Trace.Cores {
-			sampled := trace.Resample(s.Values, k)
-			mttf := cfg.Run.Cycling.CyclingMTTFFromSeries(sampled, interval)
-			if mttf < worst {
-				worst = mttf
+		rows := make([]Fig6Row, len(intervals))
+		for j, interval := range intervals {
+			// Re-sample the reference trace at the sensor interval: this is
+			// what a controller sampling at this rate would measure.
+			k := max(1, int(math.Round(interval/ref.Trace.IntervalS)))
+			worst := math.Inf(1)
+			var ac float64
+			for i, s := range ref.Trace.Cores {
+				sampled := trace.Resample(s.Values, k)
+				if mttf := cfg.Run.Cycling.CyclingMTTFFromSeries(sampled, interval); mttf < worst {
+					worst = mttf
+				}
+				if i == 0 {
+					ac = trace.Autocorrelation(sampled, 1)
+				}
 			}
-			if i == 0 {
-				ac = trace.Autocorrelation(sampled, 1)
-			}
+			rows[j] = Fig6Row{SamplingIntervalS: interval, ComputedMTTF: worst, Autocorrelation: ac}
 		}
-		rows = append(rows, Fig6Row{
-			SamplingIntervalS: interval,
-			ComputedMTTF:      worst,
-			Autocorrelation:   ac,
-			CacheMisses:       r.CacheMisses,
-			PageFaults:        r.PageFaults,
-		})
+		return rows, nil
+	}}}
+	for _, interval := range intervals {
+		runs = append(runs, planned{fmt.Sprintf("interval%gs", interval), func(cfg Config) (any, error) {
+			app, err := workload.ByName("tachyon", workload.Set1)
+			if err != nil {
+				return nil, err
+			}
+			ctl := core.DefaultConfig()
+			ctl.SamplingIntervalS = interval
+			// Keep the decision epoch near 30 s regardless of the interval.
+			ctl.EpochSamples = int(math.Max(2, math.Round(30/interval)))
+			r, err := runScalars(cfg, app, &sim.ProposedPolicy{Config: &ctl})
+			if err != nil {
+				return nil, fmt.Errorf("fig6 interval %.0fs: %w", interval, err)
+			}
+			return []Fig6Row{{CacheMisses: r.CacheMisses, PageFaults: r.PageFaults}}, nil
+		}})
 	}
-	return rows, nil
+	assemble := func(rows []any) any {
+		parts, ok := complete[[]Fig6Row](rows)
+		if !ok {
+			return nil
+		}
+		out := append([]Fig6Row(nil), parts[0]...)
+		if len(out) != len(intervals) {
+			return nil
+		}
+		for i, p := range parts[1:] {
+			if len(p) != 1 {
+				return nil
+			}
+			out[i].CacheMisses, out[i].PageFaults = p[0].CacheMisses, p[0].PageFaults
+		}
+		return out
+	}
+	return runs, assemble
 }
 
 // FormatFig6 renders the sweep.

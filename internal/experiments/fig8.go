@@ -22,49 +22,47 @@ type Fig8Row struct {
 	CyclingMTTF, AgingMTTF float64
 }
 
-// Fig8 sweeps the Q-table size on the mpeg decoding application: iterations
-// to convergence grow with the table size, while finer tables give the
-// controller finer thermal control (better MTTF).
-func Fig8(cfg Config) ([]Fig8Row, error) {
+// fig8Plan sweeps the Q-table size on the mpeg decoding application, one
+// run per (states, actions) cell: iterations to convergence grow with the
+// table size, while finer tables give the controller finer thermal control
+// (better MTTF).
+func fig8Plan(cfg Config) ([]planned, Assemble) {
 	sizes := []int{4, 8, 12}
 	if cfg.Quick {
 		sizes = []int{4, 12}
 	}
-	var rows []Fig8Row
+	var runs []planned
 	for _, ns := range sizes {
 		for _, na := range sizes {
-			// A longer mpeg_dec variant so even the largest table converges
-			// within the run.
-			sp := workload.MPEGDecSpec(workload.Set1)
-			sp.Iterations *= 3
-			app := sp.Generate()
+			runs = append(runs, planned{fmt.Sprintf("%dx%d", ns, na), func(cfg Config) (any, error) {
+				// A longer mpeg_dec variant so even the largest table
+				// converges within the run.
+				sp := workload.MPEGDecSpec(workload.Set1)
+				sp.Iterations *= 3
 
-			ctl := core.DefaultConfig()
-			ctl.States = core.StateSpaceOfSize(ns)
-			ctl.Actions = core.ActionSpaceOfSize(na)
-			ctl.Agent = rl.DefaultAgentConfig(ctl.States.NumStates(), len(ctl.Actions))
-			// Slow the learning-rate decay so exploration persists long
-			// enough to fill the larger tables.
-			ctl.Agent.AlphaDecay = 0.97
-			pol := &sim.ProposedPolicy{Config: &ctl}
-			// Rows need only scalars; stream them without the trace.
-			rc := cfg.Run
-			rc.DiscardTrace = true
-			r, err := sim.Run(rc, app, pol)
-			if err != nil {
-				return nil, fmt.Errorf("fig8 %dx%d: %w", ns, na, err)
-			}
-			iters := pol.Controller().LastFillEpoch()
-			rows = append(rows, Fig8Row{
-				States:      ctl.States.NumStates(),
-				Actions:     len(ctl.Actions),
-				Iterations:  iters,
-				CyclingMTTF: r.CyclingMTTF,
-				AgingMTTF:   r.AgingMTTF,
-			})
+				ctl := core.DefaultConfig()
+				ctl.States = core.StateSpaceOfSize(ns)
+				ctl.Actions = core.ActionSpaceOfSize(na)
+				ctl.Agent = rl.DefaultAgentConfig(ctl.States.NumStates(), len(ctl.Actions))
+				// Slow the learning-rate decay so exploration persists long
+				// enough to fill the larger tables.
+				ctl.Agent.AlphaDecay = 0.97
+				pol := &sim.ProposedPolicy{Config: &ctl}
+				r, err := runScalars(cfg, sp.Generate(), pol)
+				if err != nil {
+					return nil, fmt.Errorf("fig8 %dx%d: %w", ns, na, err)
+				}
+				return Fig8Row{
+					States:      ctl.States.NumStates(),
+					Actions:     len(ctl.Actions),
+					Iterations:  pol.Controller().LastFillEpoch(),
+					CyclingMTTF: r.CyclingMTTF,
+					AgingMTTF:   r.AgingMTTF,
+				}, nil
+			}})
 		}
 	}
-	return rows, nil
+	return runs, assembleAs[Fig8Row]
 }
 
 // FormatFig8 renders the convergence sweep.

@@ -21,12 +21,13 @@ type LibraryRow struct {
 	ExecTimeS              float64
 }
 
-// LibraryStudy evaluates the signature-library extension on A-B-A style
+// libraryPlan evaluates the signature-library extension on A-B-A style
 // scenarios where applications return: the paper's controller re-learns
 // from scratch on every switch, while the library variant re-recognizes the
 // returning application's thermal signature and adopts its stored policy
-// (adopt-then-verify), skipping the repeated exploration.
-func LibraryStudy(cfg Config) ([]LibraryRow, error) {
+// (adopt-then-verify), skipping the repeated exploration. One run per
+// (scenario, variant) cell.
+func libraryPlan(cfg Config) ([]planned, Assemble) {
 	scenarios := []string{
 		"tachyon-mpegdec-tachyon",
 		"mpegdec-tachyon-mpegdec-tachyon",
@@ -34,37 +35,36 @@ func LibraryStudy(cfg Config) ([]LibraryRow, error) {
 	if cfg.Quick {
 		scenarios = scenarios[:1]
 	}
-	var rows []LibraryRow
+	var runs []planned
 	for _, sc := range scenarios {
 		for _, variant := range []string{"relearn", "library"} {
-			seq, err := scenarioApps(sc, workload.Set1)
-			if err != nil {
-				return nil, err
-			}
-			ctl := core.DefaultConfig()
-			ctl.UseSignatureLibrary = variant == "library"
-			pol := &sim.ProposedPolicy{Config: &ctl}
-			// Rows need only scalars; stream them without the trace.
-			rc := cfg.Run
-			rc.DiscardTrace = true
-			r, err := sim.Run(rc, seq, pol)
-			if err != nil {
-				return nil, fmt.Errorf("library %s/%s: %w", sc, variant, err)
-			}
-			agent := pol.Controller().Agent()
-			rows = append(rows, LibraryRow{
-				Scenario:    sc,
-				Variant:     variant,
-				Relearns:    agent.Relearns(),
-				Adoptions:   agent.Adoptions(),
-				AvgTempC:    r.AvgTempC,
-				CyclingMTTF: r.CyclingMTTF,
-				AgingMTTF:   r.AgingMTTF,
-				ExecTimeS:   r.ExecTimeS,
-			})
+			runs = append(runs, planned{sc + "/" + variant, func(cfg Config) (any, error) {
+				seq, err := scenarioApps(sc, workload.Set1)
+				if err != nil {
+					return nil, err
+				}
+				ctl := core.DefaultConfig()
+				ctl.UseSignatureLibrary = variant == "library"
+				pol := &sim.ProposedPolicy{Config: &ctl}
+				r, err := runScalars(cfg, seq, pol)
+				if err != nil {
+					return nil, fmt.Errorf("library %s/%s: %w", sc, variant, err)
+				}
+				agent := pol.Controller().Agent()
+				return LibraryRow{
+					Scenario:    sc,
+					Variant:     variant,
+					Relearns:    agent.Relearns(),
+					Adoptions:   agent.Adoptions(),
+					AvgTempC:    r.AvgTempC,
+					CyclingMTTF: r.CyclingMTTF,
+					AgingMTTF:   r.AgingMTTF,
+					ExecTimeS:   r.ExecTimeS,
+				}, nil
+			}})
 		}
 	}
-	return rows, nil
+	return runs, assembleAs[LibraryRow]
 }
 
 // FormatLibraryStudy renders the comparison.

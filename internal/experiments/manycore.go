@@ -58,64 +58,66 @@ func manycoreMappings(cores, threads int) []core.Mapping {
 	}
 }
 
-// Manycore evaluates the controller's scalability beyond the paper's
-// quad-core: the same policy comparison on 2x2, 2x4 and 4x4 core grids,
-// exercising the generalized floorplan, scheduler and action spaces. The
-// paper's related-work discussion calls out scalability as the weakness of
-// HotSpot-based approaches; the learning controller's per-epoch cost is
-// independent of core count (the Q-table depends only on the state/action
-// discretization).
-func Manycore(cfg Config) ([]ManycoreRow, error) {
+// manycorePolicy builds the policy of one grid run: the proposed controller
+// gets action templates generalized to the grid.
+func manycorePolicy(name string, cores, threads int) (sim.Policy, error) {
+	if name != PolicyProposed {
+		return NewPolicy(name)
+	}
+	ctl := core.DefaultConfig()
+	ctl.Actions = core.BuildActions(
+		manycoreMappings(cores, threads),
+		[]core.GovernorChoice{
+			{Kind: governor.Ondemand},
+			{Kind: governor.Powersave},
+			{Kind: governor.Userspace, Level: 2},
+		})
+	ctl.Agent = rl.DefaultAgentConfig(ctl.States.NumStates(), len(ctl.Actions))
+	return &sim.ProposedPolicy{Config: &ctl}, nil
+}
+
+// manycorePlan evaluates the controller's scalability beyond the paper's
+// quad-core: the same policy comparison on 2x2, 2x4 and 4x4 core grids, one
+// run per (grid, policy) cell, exercising the generalized floorplan,
+// scheduler and action spaces. The paper's related-work discussion calls out
+// scalability as the weakness of HotSpot-based approaches; the learning
+// controller's per-epoch cost is independent of core count (the Q-table
+// depends only on the state/action discretization).
+func manycorePlan(cfg Config) ([]planned, Assemble) {
 	grids := [][2]int{{2, 2}, {2, 4}, {4, 4}}
 	if cfg.Quick {
 		grids = grids[:2]
 	}
-	var rows []ManycoreRow
+	var runs []planned
 	for _, g := range grids {
 		cores := g[0] * g[1]
 		for _, polName := range []string{PolicyLinuxOndemand, PolicyProposed} {
-			run := cfg.Run
-			run.DiscardTrace = true // rows need only scalars
-			run.Platform.GridRows, run.Platform.GridCols = g[0], g[1]
-			run.Platform.Sched.NumCores = cores
-			app := manycoreWorkload(cores)
-
-			var pol sim.Policy
-			if polName == PolicyProposed {
-				ctl := core.DefaultConfig()
-				ctl.Actions = core.BuildActions(
-					manycoreMappings(cores, len(app.Threads())),
-					[]core.GovernorChoice{
-						{Kind: governor.Ondemand},
-						{Kind: governor.Powersave},
-						{Kind: governor.Userspace, Level: 2},
-					})
-				ctl.Agent = rl.DefaultAgentConfig(ctl.States.NumStates(), len(ctl.Actions))
-				pol = &sim.ProposedPolicy{Config: &ctl}
-			} else {
-				p, err := NewPolicy(polName)
+			runs = append(runs, planned{fmt.Sprintf("%dx%d/%s", g[0], g[1], polName), func(cfg Config) (any, error) {
+				cfg.Run.Platform.GridRows, cfg.Run.Platform.GridCols = g[0], g[1]
+				cfg.Run.Platform.Sched.NumCores = cores
+				app := manycoreWorkload(cores)
+				pol, err := manycorePolicy(polName, cores, len(app.Threads()))
 				if err != nil {
 					return nil, err
 				}
-				pol = p
-			}
-			r, err := sim.Run(run, app, pol)
-			if err != nil {
-				return nil, fmt.Errorf("manycore %dx%d/%s: %w", g[0], g[1], polName, err)
-			}
-			rows = append(rows, ManycoreRow{
-				Cores:       cores,
-				Policy:      polName,
-				Threads:     len(app.Threads()),
-				AvgTempC:    r.AvgTempC,
-				PeakTempC:   r.PeakTempC,
-				CyclingMTTF: r.CyclingMTTF,
-				AgingMTTF:   r.AgingMTTF,
-				ExecTimeS:   r.ExecTimeS,
-			})
+				r, err := runScalars(cfg, app, pol)
+				if err != nil {
+					return nil, fmt.Errorf("manycore %dx%d/%s: %w", g[0], g[1], polName, err)
+				}
+				return ManycoreRow{
+					Cores:       cores,
+					Policy:      polName,
+					Threads:     len(app.Threads()),
+					AvgTempC:    r.AvgTempC,
+					PeakTempC:   r.PeakTempC,
+					CyclingMTTF: r.CyclingMTTF,
+					AgingMTTF:   r.AgingMTTF,
+					ExecTimeS:   r.ExecTimeS,
+				}, nil
+			}})
 		}
 	}
-	return rows, nil
+	return runs, assembleAs[ManycoreRow]
 }
 
 // FormatManycore renders the scalability table.

@@ -18,40 +18,54 @@ type NoiseRow struct {
 	ProposedAvgTempC                      float64
 }
 
-// NoiseStudy sweeps the thermal-sensor noise level: real coretemp sensors
+// noisePlan sweeps the thermal-sensor noise level: real coretemp sensors
 // are quantized to 1 C and noisy, and the paper's motivation for sensors
 // over thermal guns and models rests on them being accurate *enough*. The
 // study shows how much read noise the stress/aging state computation
-// tolerates before the controller's advantage erodes.
-func NoiseStudy(cfg Config) ([]NoiseRow, error) {
+// tolerates before the controller's advantage erodes. Per level the plan
+// runs Linux, then the proposed controller.
+func noisePlan(cfg Config) ([]planned, Assemble) {
 	levels := []float64{0, 0.5, 1, 2, 4}
 	if cfg.Quick {
 		levels = []float64{0, 2}
 	}
-	var rows []NoiseRow
+	var runs []planned
 	for _, noise := range levels {
-		run := cfg.Run
-		run.DiscardTrace = true // rows need only scalars
-		run.Platform.SensorNoiseC = noise
-
-		lin, err := sim.Run(run, workload.Tachyon(workload.Set1), sim.LinuxPolicy{})
-		if err != nil {
-			return nil, fmt.Errorf("noise %g linux: %w", noise, err)
+		for _, pol := range []string{PolicyLinuxOndemand, PolicyProposed} {
+			runs = append(runs, planned{fmt.Sprintf("%g/%s", noise, pol), func(cfg Config) (any, error) {
+				var p sim.Policy = sim.LinuxPolicy{}
+				if pol == PolicyProposed {
+					p = &sim.ProposedPolicy{}
+				}
+				cfg.Run.Platform.SensorNoiseC = noise
+				r, err := runScalars(cfg, workload.Tachyon(workload.Set1), p)
+				if err != nil {
+					return nil, fmt.Errorf("noise %g %s: %w", noise, pol, err)
+				}
+				return metricsOf(r), nil
+			}})
 		}
-		pr, err := sim.Run(run, workload.Tachyon(workload.Set1), &sim.ProposedPolicy{})
-		if err != nil {
-			return nil, fmt.Errorf("noise %g proposed: %w", noise, err)
-		}
-		rows = append(rows, NoiseRow{
-			NoiseC:              noise,
-			LinuxAgingMTTF:      lin.AgingMTTF,
-			ProposedAgingMTTF:   pr.AgingMTTF,
-			LinuxCyclingMTTF:    lin.CyclingMTTF,
-			ProposedCyclingMTTF: pr.CyclingMTTF,
-			ProposedAvgTempC:    pr.AvgTempC,
-		})
 	}
-	return rows, nil
+	assemble := func(rows []any) any {
+		all, ok := complete[runMetrics](rows)
+		if !ok {
+			return nil
+		}
+		out := make([]NoiseRow, len(levels))
+		for i, noise := range levels {
+			lin, pr := all[2*i], all[2*i+1]
+			out[i] = NoiseRow{
+				NoiseC:              noise,
+				LinuxAgingMTTF:      lin.AgingMTTF,
+				ProposedAgingMTTF:   pr.AgingMTTF,
+				LinuxCyclingMTTF:    lin.CyclingMTTF,
+				ProposedCyclingMTTF: pr.CyclingMTTF,
+				ProposedAvgTempC:    pr.AvgTempC,
+			}
+		}
+		return out
+	}
+	return runs, assemble
 }
 
 // FormatNoiseStudy renders the sensor-noise sweep.

@@ -1,41 +1,47 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 )
 
 // decodeInto unmarshals data into a value of type T and returns it as the
-// concrete type (not a pointer), matching what a cell's Run returns.
+// concrete type, matching what a cell's Run returns. A cell row is never
+// JSON null, so null is rejected rather than decoded into a nil pointer.
 func decodeInto[T any](data []byte) (any, error) {
 	var v T
 	if err := json.Unmarshal(data, &v); err != nil {
 		return nil, err
 	}
+	if bytes.Equal(bytes.TrimSpace(data), []byte("null")) {
+		return nil, errors.New("null row")
+	}
 	return v, nil
 }
 
 // cellRowDecoders maps each experiment to the decoder for one cell's row,
-// mirroring the per-cell types produced by Cells. Campaign experiments
-// decode one row per cell; single-shot experiments have exactly one cell
-// whose "row" is the whole typed result.
+// mirroring the per-cell types its plan produces: a final row where one run
+// is one row, runMetrics where the assembler reduces several runs into a
+// row, and a partial result where it merges them (fig1, fig45, fig6).
 var cellRowDecoders = map[string]func([]byte) (any, error){
-	"suite":      decodeInto[SuiteRow],
-	"table2":     decodeInto[Table2Cell],
-	"seeds":      decodeInto[SeedStudyRow],
-	"concurrent": decodeInto[ConcurrentRow],
 	"fig1":       decodeInto[*Fig1Result],
-	"fig3":       decodeInto[[]Fig3Row],
+	"table2":     decodeInto[Table2Cell],
+	"fig3":       decodeInto[runMetrics],
 	"fig45":      decodeInto[*Fig45Result],
 	"fig6":       decodeInto[[]Fig6Row],
-	"fig7":       decodeInto[[]Fig7Row],
-	"fig8":       decodeInto[[]Fig8Row],
-	"table3":     decodeInto[[]PerfEnergyCell],
-	"fig9":       decodeInto[[]PerfEnergyCell],
-	"ablation":   decodeInto[[]AblationRow],
-	"manycore":   decodeInto[[]ManycoreRow],
-	"noise":      decodeInto[[]NoiseRow],
-	"library":    decodeInto[[]LibraryRow],
+	"fig7":       decodeInto[runMetrics],
+	"fig8":       decodeInto[Fig8Row],
+	"table3":     decodeInto[PerfEnergyCell],
+	"fig9":       decodeInto[PerfEnergyCell],
+	"ablation":   decodeInto[AblationRow],
+	"seeds":      decodeInto[runMetrics],
+	"manycore":   decodeInto[ManycoreRow],
+	"noise":      decodeInto[runMetrics],
+	"suite":      decodeInto[SuiteRow],
+	"concurrent": decodeInto[ConcurrentRow],
+	"library":    decodeInto[LibraryRow],
 }
 
 // DecodeCellRow rebuilds one cell's typed row from its JSON serialization.

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -42,81 +41,64 @@ type SeedStudyRow struct {
 	CyclingMTTF, AgingMTTF, AvgTempC SeedStat
 }
 
-// seedStudyApps enumerates the campaign's per-application cells and the
-// seed count; one application (baseline plus all its seeds) is one
-// independently runnable cell.
-func seedStudyApps(cfg Config) (apps []string, seeds int) {
-	apps = []string{"tachyon", "mpeg_dec"}
-	seeds = 8
+// seedStudyPlan quantifies how sensitive the paper's headline results are
+// to the RL trajectory: the proposed controller runs under several
+// action-selection seeds and the spread of its lifetime metrics is reported
+// against the deterministic Linux baseline. This is the robustness analysis
+// the paper (like most DAC-length papers) omits. Per application the plan
+// runs the baseline, then one cell per seed.
+func seedStudyPlan(cfg Config) ([]planned, Assemble) {
+	apps := []string{"tachyon", "mpeg_dec"}
+	seeds := 8
 	if cfg.Quick {
 		apps = apps[:1]
 		seeds = 3
 	}
-	return apps, seeds
-}
-
-// runSeedStudyCell executes the baseline and the full seed sweep for one
-// application. Cancellation via ctx stops between seed runs.
-func runSeedStudyCell(ctx context.Context, cfg Config, appName string, seeds int) (SeedStudyRow, error) {
-	lin, err := runApp(cfg, appName, workload.Set1, PolicyLinuxOndemand)
-	if err != nil {
-		return SeedStudyRow{}, err
-	}
 	base := cfg.agentSeed()
-	var cyc, age, avg []float64
-	for s := 0; s < seeds; s++ {
-		if err := ctx.Err(); err != nil {
-			return SeedStudyRow{}, err
-		}
-		app, err := workload.ByName(appName, workload.Set1)
-		if err != nil {
-			return SeedStudyRow{}, err
-		}
-		ctl := core.DefaultConfig()
-		ctl.Agent.Seed = base + int64(1000*s)
-		pol := &sim.ProposedPolicy{Config: &ctl}
-		// Rows need only scalars; stream them without the trace.
-		rc := cfg.Run
-		rc.DiscardTrace = true
-		r, err := sim.Run(rc, app, pol)
-		if err != nil {
-			return SeedStudyRow{}, fmt.Errorf("seed study %s seed %d: %w", appName, s, err)
-		}
-		cyc = append(cyc, r.CyclingMTTF)
-		age = append(age, r.AgingMTTF)
-		avg = append(avg, r.AvgTempC)
-	}
-	return SeedStudyRow{
-		App:              appName,
-		Seeds:            seeds,
-		LinuxCyclingMTTF: lin.CyclingMTTF,
-		LinuxAgingMTTF:   lin.AgingMTTF,
-		CyclingMTTF:      computeStat(cyc),
-		AgingMTTF:        computeStat(age),
-		AvgTempC:         computeStat(avg),
-	}, nil
-}
-
-// SeedStudy quantifies how sensitive the paper's headline results are to the
-// RL trajectory: the proposed controller runs under several action-selection
-// seeds and the spread of its lifetime metrics is reported against the
-// deterministic Linux baseline. This is the robustness analysis the paper
-// (like most DAC-length papers) omits. Cancellation via ctx stops between
-// individual seed runs.
-func SeedStudy(ctx context.Context, cfg Config) ([]SeedStudyRow, error) {
-	apps, seeds := seedStudyApps(cfg)
-	var rows []SeedStudyRow
+	var runs []planned
 	for _, appName := range apps {
-		if err := ctx.Err(); err != nil {
-			return rows, err
+		runs = append(runs, linuxBaseline(appName))
+		for s := range seeds {
+			runs = append(runs, planned{fmt.Sprintf("%s/seed%d", appName, s), func(cfg Config) (any, error) {
+				app, err := workload.ByName(appName, workload.Set1)
+				if err != nil {
+					return nil, err
+				}
+				ctl := core.DefaultConfig()
+				ctl.Agent.Seed = base + int64(1000*s)
+				r, err := runScalars(cfg, app, &sim.ProposedPolicy{Config: &ctl})
+				if err != nil {
+					return nil, fmt.Errorf("seed study %s seed %d: %w", appName, s, err)
+				}
+				return metricsOf(r), nil
+			}})
 		}
-		row, err := runSeedStudyCell(ctx, cfg, appName, seeds)
-		if err != nil {
-			return rows, err
-		}
-		rows = append(rows, row)
 	}
-	return rows, nil
+	assemble := func(rows []any) any {
+		all, ok := complete[runMetrics](rows)
+		if !ok {
+			return nil
+		}
+		out := make([]SeedStudyRow, len(apps))
+		for i, appName := range apps {
+			group := all[i*(1+seeds) : (i+1)*(1+seeds)]
+			cyc, age, avg := make([]float64, seeds), make([]float64, seeds), make([]float64, seeds)
+			for s, r := range group[1:] {
+				cyc[s], age[s], avg[s] = r.CyclingMTTF, r.AgingMTTF, r.AvgTempC
+			}
+			out[i] = SeedStudyRow{
+				App:              appName,
+				Seeds:            seeds,
+				LinuxCyclingMTTF: group[0].CyclingMTTF,
+				LinuxAgingMTTF:   group[0].AgingMTTF,
+				CyclingMTTF:      computeStat(cyc),
+				AgingMTTF:        computeStat(age),
+				AvgTempC:         computeStat(avg),
+			}
+		}
+		return out
+	}
+	return runs, assemble
 }
 
 // FormatSeedStudy renders the robustness table.

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"strings"
 
@@ -25,37 +23,34 @@ type SuiteRow struct {
 // paper's three policies.
 var suitePolicies = []string{PolicyLinuxOndemand, PolicyThrottle, PolicyGe, PolicyProposed}
 
-// suiteCell identifies one independently runnable (app, policy) unit of the
-// suite campaign. Cells share nothing — each builds a fresh workload and
-// policy — so the pooled and sequential paths produce identical numbers.
-type suiteCell struct {
-	App, Policy string
-}
-
-// suiteCells enumerates the campaign's cells in table order.
-func suiteCells(cfg Config) []suiteCell {
+// suitePlan runs every ALPBench application (data set 1) under four
+// policies — the paper's three plus a reactive thermal-throttling baseline —
+// extending Table 2's three applications to the full five-app suite and
+// adding the SOFR-combined lifetime. One run is one row, so a failing cell
+// drops only its own row.
+func suitePlan(cfg Config) ([]planned, Assemble) {
 	apps := workload.AppNames()
 	if cfg.Quick {
 		apps = []string{"face_rec", "sphinx"}
 	}
-	cells := make([]suiteCell, 0, len(apps)*len(suitePolicies))
+	var runs []planned
 	for _, app := range apps {
 		for _, pol := range suitePolicies {
-			cells = append(cells, suiteCell{App: app, Policy: pol})
+			runs = append(runs, planned{app + "/" + pol, func(cfg Config) (any, error) { return runSuiteCell(cfg, app, pol) }})
 		}
 	}
-	return cells
+	return runs, assembleAs[SuiteRow]
 }
 
-// runSuiteCell executes one cell of the suite campaign.
-func runSuiteCell(cfg Config, c suiteCell) (SuiteRow, error) {
-	r, err := runApp(cfg, c.App, workload.Set1, c.Policy)
+// runSuiteCell executes one (app, policy) cell of the suite.
+func runSuiteCell(cfg Config, app, pol string) (SuiteRow, error) {
+	r, err := runApp(cfg, app, workload.Set1, pol)
 	if err != nil {
-		return SuiteRow{}, fmt.Errorf("suite %s/%s: %w", c.App, c.Policy, err)
+		return SuiteRow{}, fmt.Errorf("suite %s/%s: %w", app, pol, err)
 	}
 	return SuiteRow{
-		App:          c.App,
-		Policy:       c.Policy,
+		App:          app,
+		Policy:       pol,
 		AvgTempC:     r.AvgTempC,
 		PeakTempC:    r.PeakTempC,
 		CyclingMTTF:  r.CyclingMTTF,
@@ -63,29 +58,6 @@ func runSuiteCell(cfg Config, c suiteCell) (SuiteRow, error) {
 		CombinedMTTF: r.CombinedMTTF,
 		ExecTimeS:    r.ExecTimeS,
 	}, nil
-}
-
-// Suite runs every ALPBench application (data set 1) under four policies —
-// the paper's three plus a reactive thermal-throttling baseline — extending
-// Table 2's three applications to the full five-app suite and adding the
-// SOFR-combined lifetime. A failing cell no longer aborts the campaign: the
-// surviving rows are returned together with the joined per-cell errors.
-// Cancellation via ctx stops between cells and returns the partial rows.
-func Suite(ctx context.Context, cfg Config) ([]SuiteRow, error) {
-	var rows []SuiteRow
-	var errs []error
-	for _, c := range suiteCells(cfg) {
-		if err := ctx.Err(); err != nil {
-			return rows, err
-		}
-		row, err := runSuiteCell(cfg, c)
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		rows = append(rows, row)
-	}
-	return rows, errors.Join(errs...)
 }
 
 // FormatSuite renders the full-suite table.

@@ -30,33 +30,35 @@ var perfEnergyPolicies = []string{
 	PolicyProposed,
 }
 
-// PerfEnergyGrid runs the three applications under the six policies of
-// Table 3 and Fig. 9.
-func PerfEnergyGrid(cfg Config) ([]PerfEnergyCell, error) {
+// perfEnergyPlan runs the three applications under the six policies of
+// Table 3 and Fig. 9, one run per cell.
+func perfEnergyPlan(cfg Config) ([]planned, Assemble) {
 	apps := []string{"tachyon", "mpeg_dec", "mpeg_enc"}
 	policies := perfEnergyPolicies
 	if cfg.Quick {
 		apps = apps[:1]
 		policies = []string{PolicyLinuxOndemand, PolicyLinuxPowersave, PolicyLinux34, PolicyProposed}
 	}
-	var cells []PerfEnergyCell
+	var runs []planned
 	for _, app := range apps {
 		for _, pol := range policies {
-			r, err := runApp(cfg, app, workload.Set1, pol)
-			if err != nil {
-				return nil, fmt.Errorf("table3/fig9 %s/%s: %w", app, pol, err)
-			}
-			cells = append(cells, PerfEnergyCell{
-				App:            app,
-				Policy:         pol,
-				ExecTimeS:      r.ExecTimeS,
-				AvgDynPowerW:   r.AvgDynPowerW,
-				DynamicEnergyJ: r.DynamicEnergyJ,
-				StaticEnergyJ:  r.StaticEnergyJ,
-			})
+			runs = append(runs, planned{app + "/" + pol, func(cfg Config) (any, error) {
+				r, err := runApp(cfg, app, workload.Set1, pol)
+				if err != nil {
+					return nil, fmt.Errorf("table3/fig9 %s/%s: %w", app, pol, err)
+				}
+				return PerfEnergyCell{
+					App:            app,
+					Policy:         pol,
+					ExecTimeS:      r.ExecTimeS,
+					AvgDynPowerW:   r.AvgDynPowerW,
+					DynamicEnergyJ: r.DynamicEnergyJ,
+					StaticEnergyJ:  r.StaticEnergyJ,
+				}, nil
+			}})
 		}
 	}
-	return cells, nil
+	return runs, assembleAs[PerfEnergyCell]
 }
 
 func pivotPerfEnergy(cells []PerfEnergyCell) (apps []string, byApp map[string]map[string]PerfEnergyCell) {

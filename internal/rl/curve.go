@@ -3,12 +3,13 @@ package rl
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -352,27 +353,39 @@ func (cs *CurveSet) Add(c RunCurve) {
 	cs.mu.Unlock()
 }
 
-// Curves returns a snapshot sorted by (policy, workload, seed, repeat) so the
-// serialized order is independent of cell completion order.
+// Curves returns a snapshot sorted by (policy, workload, seed, repeat) and
+// then by content, so the serialized order is independent of the order runs
+// finished in. The content tie-break matters for plain experiment runs: they
+// carry no seed or repeat and their workload names omit the data set, so
+// many of their coordinates tie.
 func (cs *CurveSet) Curves() []RunCurve {
 	if cs == nil {
 		return nil
 	}
 	cs.mu.Lock()
-	out := append([]RunCurve(nil), cs.curves...)
+	curves := append([]RunCurve(nil), cs.curves...)
 	cs.mu.Unlock()
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Policy != out[j].Policy {
-			return out[i].Policy < out[j].Policy
-		}
-		if out[i].Workload != out[j].Workload {
-			return out[i].Workload < out[j].Workload
-		}
-		if out[i].Seed != out[j].Seed {
-			return out[i].Seed < out[j].Seed
-		}
-		return out[i].Repeat < out[j].Repeat
+	type keyed struct {
+		c       RunCurve
+		content string
+	}
+	ks := make([]keyed, len(curves))
+	for i, c := range curves {
+		ks[i] = keyed{c, fmt.Sprint(c.Points, c.Summary)}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int {
+		return cmp.Or(
+			cmp.Compare(a.c.Policy, b.c.Policy),
+			cmp.Compare(a.c.Workload, b.c.Workload),
+			cmp.Compare(a.c.Seed, b.c.Seed),
+			cmp.Compare(a.c.Repeat, b.c.Repeat),
+			cmp.Compare(a.content, b.content),
+		)
 	})
+	out := make([]RunCurve, len(ks))
+	for i, k := range ks {
+		out[i] = k.c
+	}
 	return out
 }
 

@@ -3,6 +3,7 @@ package rl
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -231,6 +232,43 @@ func TestCurveSetCSV(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[1], "proposed,mpegdec,7,1,1,") {
 		t.Fatalf("unexpected first row %q", lines[1])
+	}
+}
+
+// TestCurveSetOrderIndependentOfAdds: plain experiment runs tie on every
+// coordinate (same policy and workload, no seed or repeat), so the set must
+// fall back to content for the order. Adding the same curves in any order
+// renders byte-identical CSV and JSONL.
+func TestCurveSetOrderIndependentOfAdds(t *testing.T) {
+	var curves []RunCurve
+	for i := 0; i < 6; i++ {
+		curves = append(curves, RunCurve{Policy: "proposed", Workload: "tachyon",
+			Points:  []CurvePoint{{Epoch: 1, Reward: float64(i % 3), Alpha: 0.5 + float64(i)/10}},
+			Summary: CurveSummary{Epochs: 1, ConvergeEpoch: -1}})
+	}
+	curves = append(curves, curves[2]) // an exact duplicate ties on content too
+	render := func(order []int) (csv, jsonl []byte) {
+		cs := NewCurveSet()
+		for _, i := range order {
+			cs.Add(curves[i])
+		}
+		var buf bytes.Buffer
+		if err := cs.WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		jsonl, err := cs.MarshalJSONL()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), jsonl
+	}
+	rng := rand.New(rand.NewSource(1))
+	wantCSV, wantJSONL := render(rng.Perm(len(curves)))
+	for trial := 0; trial < 20; trial++ {
+		csv, jsonl := render(rng.Perm(len(curves)))
+		if !bytes.Equal(csv, wantCSV) || !bytes.Equal(jsonl, wantJSONL) {
+			t.Fatalf("trial %d: output depends on insertion order:\n%s\nvs\n%s", trial, csv, wantCSV)
+		}
 	}
 }
 

@@ -3,7 +3,7 @@
 // worker pool that fans the cells of an experiment campaign out across all
 // cores. The cmd/thermserved binary exposes it over HTTP. Cells are
 // independent and explicitly seeded, so a pooled campaign produces rows
-// bit-identical to the sequential runners in internal/experiments.
+// bit-identical to experiments.RunRows.
 package service
 
 import (
@@ -60,7 +60,7 @@ type Spec struct {
 	// Repeats overrides the seed-repeat count of learning-sensitive sweeps.
 	Repeats int `json:"repeats,omitempty"`
 	// Seed is the base RL seed; 0 keeps the package default, making a
-	// pooled run bit-identical to the plain sequential runners.
+	// pooled run bit-identical to plain experiments.RunRows.
 	Seed int64 `json:"seed,omitempty"`
 	// WarmStart names a stored checkpoint; when set, the payload is routed
 	// to the policy whose kind matches (a proposed-kind table warm-starts

@@ -76,8 +76,8 @@ func TestDeriveSeed(t *testing.T) {
 }
 
 func TestSpecConfigSeedDerivation(t *testing.T) {
-	// Zero base seed keeps the package default (bit-identical to the
-	// sequential runners); nonzero derives a per-experiment seed.
+	// Zero base seed keeps the package default (bit-identical to
+	// experiments.RunRows); nonzero derives a per-experiment seed.
 	if cfg := (Spec{Experiment: "suite"}).Config(); cfg.Seed != 0 {
 		t.Errorf("zero base seed should not override: got %d", cfg.Seed)
 	}

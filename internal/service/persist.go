@@ -105,7 +105,7 @@ func (p *Pool) recoverJob(js *durable.JobState) bool {
 		job.StartedAt = js.StartedAt
 		job.FinishedAt = js.FinishedAt
 		job.WallClockS = js.WallClockS
-		p.store.Restore(job, p.assembleRecovered(spec, rows))
+		p.store.Restore(job, p.assembleRecovered(spec, js.ID, rows))
 		return true
 	}
 
@@ -167,14 +167,22 @@ func (p *Pool) decodeCells(spec Spec, js *durable.JobState) ([]any, []error) {
 	return rows, errs
 }
 
-// assembleRecovered merges recovered rows with the experiment's assembler
-// (nil when the spec no longer plans, e.g. after a rename).
-func (p *Pool) assembleRecovered(spec Spec, rows []any) any {
+// assembleRecovered merges recovered rows with the experiment's assembler.
+// It returns nil when the spec no longer plans (e.g. after a rename) or when
+// the journal recorded a different cell count than the current plan (a job
+// journaled under an older cell layout), since the assembler indexes rows by
+// plan position.
+func (p *Pool) assembleRecovered(spec Spec, id string, rows []any) any {
 	if spec.Validate() != nil {
 		return nil
 	}
-	_, assemble, err := p.plan(spec.Config(), spec.Experiment)
+	cells, assemble, err := p.plan(spec.Config(), spec.Experiment)
 	if err != nil {
+		return nil
+	}
+	if len(cells) != len(rows) {
+		p.log.Warn("recovered job's cell layout differs from the current plan; rows dropped",
+			"job", id, "experiment", spec.Experiment, "journal_cells", len(rows), "plan_cells", len(cells))
 		return nil
 	}
 	return assemble(rows)

@@ -181,6 +181,52 @@ func TestJournaledLifecycleAndSweep(t *testing.T) {
 	}
 }
 
+// TestRecoveryDropsRowsOfOldCellLayout journals a finished job under a
+// 3-cell plan and recovers it under planners of other widths, as after an
+// upgrade that changed an experiment's cell layout. The job must come back
+// terminal with no rows instead of reaching an assembler that indexes rows
+// by the new plan's positions; the unchanged layout still reassembles.
+func TestRecoveryDropsRowsOfOldCellLayout(t *testing.T) {
+	dir := t.TempDir()
+	j := openJournal(t, dir)
+	store := NewStore(0)
+	store.SetJournal(j)
+	pool := NewPool(store, 1)
+	pool.plan = suiteRowPlan(3)
+	pool.Start()
+	job, err := pool.Submit(Spec{Experiment: "suite"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := waitDone(t, pool, job.ID); final.State != StateDone {
+		t.Fatalf("job finished %s: %s", final.State, final.Error)
+	}
+	pool.Stop()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j2 := openJournal(t, dir)
+	defer j2.Close()
+	for _, m := range []int{2, 5, 3} {
+		store2 := NewStore(0)
+		pool2 := NewPool(store2, 1)
+		pool2.plan = suiteRowPlan(m)
+		if restored, resumed := pool2.Recover(j2.Recovered()); restored != 1 || resumed != 0 {
+			t.Fatalf("%d-cell plan: restored %d resumed %d, want 1/0", m, restored, resumed)
+		}
+		if snap, _ := store2.Get(job.ID); snap.State != StateDone {
+			t.Errorf("%d-cell plan: recovered state %s, want done", m, snap.State)
+		}
+		rows, _ := store2.Rows(job.ID)
+		if m != 3 && rows != nil {
+			t.Errorf("%d-cell plan assembled %v from a 3-cell journal", m, rows)
+		}
+		if got, _ := rows.([]experiments.SuiteRow); m == 3 && len(got) != 3 {
+			t.Errorf("same layout recovered %v, want 3 rows", rows)
+		}
+	}
+}
+
 // TestRecoveryTruncateEveryOffset is the crash-recovery property test: a
 // journaled job's WAL is truncated at EVERY byte offset, and every prefix
 // must reopen cleanly and recover — via resume when records were lost — to
@@ -266,10 +312,11 @@ func TestRecoveryTruncateEveryOffset(t *testing.T) {
 // compacts, and a third incarnation restores the finished job's rows from
 // the snapshot alone.
 func TestCrashRestartResumesSuite(t *testing.T) {
-	seq, err := experiments.Suite(context.Background(), experiments.Config{Run: experiments.DefaultConfig().Run, Quick: true})
+	seqAny, err := experiments.RunRows(experiments.Config{Run: experiments.DefaultConfig().Run, Quick: true}, "suite")
 	if err != nil {
 		t.Fatal(err)
 	}
+	seq := seqAny.([]experiments.SuiteRow)
 
 	dir := t.TempDir()
 	j := openJournal(t, dir)

@@ -383,19 +383,11 @@ func runCell(ctx context.Context, cell experiments.Cell) (row any, err error) {
 // the last one outstanding. ranBy attributes the committed outcome to the
 // cluster worker that executed it ("" in-process).
 func (p *Pool) finishCell(jr *jobRun, idx int, row any, ranBy string, err error, skipped bool) {
-	jr.mu.Lock()
-	if err == nil && !skipped {
-		jr.rows[idx] = row
-	} else if err != nil && !skipped {
-		jr.errs[idx] = err
-	}
-	jr.remaining--
-	last := jr.remaining == 0
-	jr.mu.Unlock()
-
 	if !skipped {
 		// Journal the outcome before crediting progress, so every cell a
-		// client ever saw counted is recoverable after a crash.
+		// client ever saw counted is recoverable after a crash — and before
+		// counting the cell off, so the job's terminal record always follows
+		// every cell record in the journal.
 		p.store.CellDone(jr.id, idx, row, err, ranBy)
 		if err == nil {
 			p.cellsDone.Add(1)
@@ -405,6 +397,15 @@ func (p *Pool) finishCell(jr *jobRun, idx int, row any, ranBy string, err error,
 			p.store.AddProgress(jr.id, 0, 1)
 		}
 	}
+	jr.mu.Lock()
+	if err == nil && !skipped {
+		jr.rows[idx] = row
+	} else if err != nil && !skipped {
+		jr.errs[idx] = err
+	}
+	jr.remaining--
+	last := jr.remaining == 0
+	jr.mu.Unlock()
 	if last {
 		p.finalize(jr)
 	}
@@ -417,15 +418,17 @@ func (p *Pool) finalize(jr *jobRun) {
 	defer jr.cancel()
 	rows := jr.assemble(jr.rows)
 	err := errors.Join(jr.errs...)
-	p.store.Finish(jr.id, rows, err, jr.ctx.Err() != nil)
-	job, ok := p.store.Get(jr.id)
-	if ok {
+	cancelled := jr.ctx.Err() != nil
+	// Archive before Finish releases the job's waiters, so a client that
+	// sees the job terminal also finds its trace and curves archived.
+	jr.tracer.End(jr.jobSpan, telemetry.Str("state", string(p.store.Outcome(jr.id, err, cancelled))))
+	p.archiveTrace(jr)
+	p.archiveLearning(jr)
+	p.store.Finish(jr.id, rows, err, cancelled)
+	if job, ok := p.store.Get(jr.id); ok {
 		p.log.Info("job finished", "job", jr.id, "state", string(job.State),
 			"done", job.Progress.DoneCells, "failed", job.Progress.FailedCells, "wall_s", job.WallClockS)
 	}
-	jr.tracer.End(jr.jobSpan, telemetry.Str("state", string(job.State)))
-	p.archiveTrace(jr)
-	p.archiveLearning(jr)
 }
 
 // OverloadedError is returned by Submit when the queued-cell depth has

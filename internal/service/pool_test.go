@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"sync"
@@ -33,44 +35,45 @@ func waitDone(t *testing.T, pool *Pool, id string) Job {
 	return job
 }
 
-// TestPooledSuiteMatchesSequential is the subsystem's core guarantee: a
-// quick suite fanned out over four workers produces rows bit-identical to
-// the sequential runner, in the same order.
+// TestPooledSuiteMatchesSequential is the subsystem's core guarantee: every
+// quick experiment, fanned out per run over four workers, produces rows
+// bit-identical to RunRows, in the same order.
 func TestPooledSuiteMatchesSequential(t *testing.T) {
-	seq, err := experiments.Suite(context.Background(), experiments.Config{Run: experiments.DefaultConfig().Run, Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := experiments.Config{Run: experiments.DefaultConfig().Run, Quick: true}
 	pool, store := startPool(t, 4)
-	job, err := pool.Submit(Spec{Experiment: "suite", Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := waitDone(t, pool, job.ID)
-	if final.State != StateDone {
-		t.Fatalf("job finished %s: %s", final.State, final.Error)
-	}
-	if final.Progress.DoneCells != final.Progress.TotalCells || final.Progress.FailedCells != 0 {
-		t.Errorf("progress accounting broken: %+v", final.Progress)
-	}
-	if final.WallClockS <= 0 {
-		t.Error("wall clock not recorded")
-	}
-	rowsAny, ok := store.Rows(job.ID)
-	if !ok {
-		t.Fatal("rows missing")
-	}
-	rows := rowsAny.([]experiments.SuiteRow)
-	if len(rows) != len(seq) {
-		t.Fatalf("pooled %d rows, sequential %d", len(rows), len(seq))
-	}
-	for i := range rows {
-		if rows[i] != seq[i] {
-			t.Errorf("row %d differs: pooled %+v vs sequential %+v", i, rows[i], seq[i])
+	var cells int64
+	for _, id := range experiments.ExperimentNames() {
+		seq, err := experiments.RunRows(cfg, id)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		job, err := pool.Submit(Spec{Experiment: id, Quick: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		final := waitDone(t, pool, job.ID)
+		if final.State != StateDone {
+			t.Fatalf("%s job finished %s: %s", id, final.State, final.Error)
+		}
+		if final.Progress.DoneCells != final.Progress.TotalCells || final.Progress.FailedCells != 0 {
+			t.Errorf("%s: progress accounting broken: %+v", id, final.Progress)
+		}
+		if final.WallClockS <= 0 {
+			t.Errorf("%s: wall clock not recorded", id)
+		}
+		cells += int64(final.Progress.TotalCells)
+		rows, ok := store.Rows(job.ID)
+		if !ok {
+			t.Fatalf("%s: rows missing", id)
+		}
+		got, _ := json.Marshal(rows)
+		want, _ := json.Marshal(seq)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: pooled rows differ from RunRows", id)
 		}
 	}
-	if pool.CellsCompleted() != int64(len(seq)) {
-		t.Errorf("cells completed %d, want %d", pool.CellsCompleted(), len(seq))
+	if pool.CellsCompleted() != cells {
+		t.Errorf("cells completed %d, want %d", pool.CellsCompleted(), cells)
 	}
 }
 

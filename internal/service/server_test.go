@@ -111,10 +111,11 @@ func TestServerJobRoundTrip(t *testing.T) {
 		t.Fatalf("result payload off: id=%s rows=%d", result.ID, len(result.Rows))
 	}
 	// Spot-check against the sequential runner: rows must be identical.
-	seq, err := experiments.Suite(context.Background(), experiments.Config{Run: experiments.DefaultConfig().Run, Quick: true})
+	seqAny, err := experiments.RunRows(experiments.Config{Run: experiments.DefaultConfig().Run, Quick: true}, "suite")
 	if err != nil {
 		t.Fatal(err)
 	}
+	seq := seqAny.([]experiments.SuiteRow)
 	for i := range seq {
 		if result.Rows[i] != seq[i] {
 			t.Errorf("row %d over HTTP differs from sequential: %+v vs %+v", i, result.Rows[i], seq[i])

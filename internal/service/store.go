@@ -364,14 +364,32 @@ func (s *Store) Finish(id string, rows any, runErr error, cancelled bool) {
 	if rec.job.State.Terminal() {
 		return
 	}
-	next := StateDone
-	switch {
-	case cancelled || rec.cancelRequested:
-		next = StateCancelled
-	case runErr != nil:
-		next = StateFailed
+	s.finalizeLocked(rec, outcomeLocked(rec, runErr, cancelled), runErr)
+}
+
+// Outcome reports the terminal state Finish would commit for id with these
+// arguments, or the job's state if it is already terminal.
+func (s *Store) Outcome(id string, runErr error, cancelled bool) State {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rec, ok := s.jobs[id]
+	if !ok {
+		return ""
 	}
-	s.finalizeLocked(rec, next, runErr)
+	return outcomeLocked(rec, runErr, cancelled)
+}
+
+// outcomeLocked is the terminal-state rule of Finish. Callers hold s.mu.
+func outcomeLocked(rec *record, runErr error, cancelled bool) State {
+	switch {
+	case rec.job.State.Terminal():
+		return rec.job.State
+	case cancelled || rec.cancelRequested:
+		return StateCancelled
+	case runErr != nil:
+		return StateFailed
+	}
+	return StateDone
 }
 
 // Cancel requests cancellation. A pending job is cancelled on the spot; a
