@@ -19,8 +19,8 @@
 //	GET    /v1/jobs/{id}        status + progress
 //	GET    /v1/jobs/{id}/result rows as JSON
 //	GET    /v1/jobs/{id}/leaderboard tournament ranking (?format=csv)
-//	GET    /v1/jobs/{id}/events RL decision trace as JSONL
-//	GET    /v1/jobs/{id}/live   SSE stream of decision epochs while running
+//	GET    /v1/jobs/{id}/events decision-epoch records as JSONL
+//	GET    /v1/jobs/{id}/live   SSE stream of decision-epoch records while running
 //	GET    /v1/jobs/{id}/trace  span trace (?format=chrome for Perfetto, jsonl)
 //	GET    /v1/jobs/{id}/learning learning-curve summaries (?format=jsonl for
 //	                            the full per-epoch curves)
@@ -40,14 +40,14 @@
 // for warm_start submissions. An empty -data-dir (the default) keeps the
 // store purely in memory.
 //
-// With a data dir every finished job's span trace is also archived under
-// DIR/traces (newest -trace-keep retained), so /trace keeps answering after
-// the job is evicted from memory — and its sampled learning curves under
-// DIR/learning (same retention), so /learning does too.
+// With a data dir every finished job's span trace and epoch log are also
+// archived under DIR/traces (newest -trace-keep retained), so /trace,
+// /events and /learning keep answering after the job is evicted from
+// memory.
 //
 // -flight-dir arms the anomaly flight recorder: thermal samples above
 // -temp-ceiling, NaN/Inf temperatures or metrics, and jobs making no
-// progress for -stall-deadline each dump the last spans and decision events
+// progress for -stall-deadline each dump the last spans and decision epochs
 // to DIR/flightrec-<job>.json and bump the flightrec_alerts_total counter.
 // On a coordinator the same directory receives DIR/flightrec-cluster.json
 // when a lease-reassignment storm or heartbeat-loss burst trips the cluster
@@ -223,15 +223,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, "thermserved:", err)
 			os.Exit(1)
 		}
-		learning, err := durable.OpenLearning(filepath.Join(*dataDir, "learning"), *traceKeep)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "thermserved:", err)
-			os.Exit(1)
-		}
 		store.SetJournal(journal)
 		pool.SetCheckpoints(checkpoints)
 		pool.SetTraceStore(traces)
-		pool.SetLearningStore(learning)
 		restored, resumed := pool.Recover(journal.Recovered())
 		log.Info("durable store attached", "data_dir", *dataDir, "restored_jobs", restored, "resumed_jobs", resumed)
 	}

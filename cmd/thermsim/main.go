@@ -13,25 +13,29 @@
 //
 // Each experiment runs as independent cells, one simulation run each, on all
 // cores (GOMAXPROCS goroutines); the rows do not depend on the core count.
-// Runs with -events or -save-agent execute their cells one at a time, since
-// the event order and the "last run" are defined by cell order.
+// Runs with -save-agent execute their cells one at a time, since the "last
+// run" is defined by cell order.
 //
-// -events FILE dumps the RL controller's decision trace (one JSON event per
-// epoch: state bin, action, reward, q_reset/snapshot_restore markers) to
-// FILE after the experiments finish; "-" writes to stderr so it composes
-// with -json on stdout. -log-level debug logs every decision epoch live.
+// Every learning policy's decision epochs land in one epoch log, one record
+// per epoch; -events and -learning-csv are two renderings of it, written
+// after the experiments finish.
+//
+// -events FILE dumps every record as one JSON object per line (state bin,
+// action, reward, q_reset/snapshot_restore markers, learning-curve and
+// window statistics), grouped by run in a deterministic order; "-" writes
+// to stderr so it composes with -json on stdout. -log-level debug logs
+// every decision epoch live.
 //
 // -trace FILE dumps the hierarchical span trace (run → window/epoch spans
 // with per-core thermal and RL attributes) after the experiments finish. A
 // .jsonl suffix selects the archival one-span-per-line form; any other name
 // gets Chrome trace-event JSON, loadable in chrome://tracing or Perfetto.
 //
-// -learning-csv FILE samples every learning policy's learning curve and
-// writes the per-epoch points (reward, mean |TD error|, learning rate,
-// state-visit coverage, greedy-policy stability, attributed cycling damage)
-// as one deterministic CSV after the experiments finish — one row per
-// (policy, workload, seed, repeat, epoch). Sampling is observation-only, so
-// results are bit-identical with and without it.
+// -learning-csv FILE writes every learning policy's learning curve (reward,
+// mean |TD error|, learning rate, state-visit coverage, greedy-policy
+// stability, attributed cycling damage) as one deterministic CSV — one row
+// per (policy, workload, seed, repeat, epoch). Logging epochs is
+// observation-only, so results are bit-identical with and without it.
 //
 // -save-agent FILE persists the RL agent's learned state (live Q-table,
 // exploration-end snapshot, learning rate) from the last proposed-policy
@@ -73,7 +77,7 @@ func main() {
 	repeats := flag.Int("repeats", 0, "seed repeats for learning-sensitive sweeps (0 = default)")
 	list := flag.Bool("list", false, "list available experiments and exit")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn or error")
-	eventsOut := flag.String("events", "", "write the RL decision-event trace as JSONL to this file (\"-\" = stderr)")
+	eventsOut := flag.String("events", "", "write every decision-epoch record as JSONL to this file (\"-\" = stderr)")
 	traceOut := flag.String("trace", "", "write the run/window/epoch span trace to this file (.jsonl = archival JSONL, anything else = Chrome trace-event JSON for Perfetto)")
 	saveAgent := flag.String("save-agent", "", "write the RL agent state of the last proposed-policy run to this file")
 	loadAgent := flag.String("load-agent", "", "warm-start runs from policy checkpoint state in this file")
@@ -119,27 +123,16 @@ func main() {
 	cfg.Quick = *quick
 	cfg.Repeats = *repeats
 
-	var recorder *telemetry.Recorder
-	if *eventsOut != "" {
-		recorder = telemetry.NewRecorder(0)
-		cfg.Run.Recorder = recorder
+	var epochs *telemetry.EpochLog
+	if *eventsOut != "" || *learningCSV != "" {
+		epochs = telemetry.NewEpochLog()
+		cfg.Run.Epochs = epochs
 	}
 	var tracer *telemetry.Tracer
 	if *traceOut != "" {
 		tracer = telemetry.NewTracer(0)
 		cfg.Run.Tracer = tracer
 	}
-	var curves *rl.CurveSet
-	if *learningCSV != "" {
-		curves = rl.NewCurveSet()
-		// Tournament cells deposit into cfg.LearningCurves with full cell
-		// coordinates; plain experiment runs sample through the run observer.
-		cfg.LearningCurves = curves
-		cfg.Run.LearningObserver = func(pol, wl string, s *rl.LearningSampler) {
-			curves.Add(rl.RunCurve{Policy: pol, Workload: wl, Points: s.Points(), Summary: s.Summary()})
-		}
-	}
-
 	if *loadAgent != "" {
 		payload, err := os.ReadFile(*loadAgent)
 		if err != nil {
@@ -175,9 +168,9 @@ func main() {
 		}
 		cfg.CampaignJSON = doc
 		runCampaign(ctx, cfg, *asJSON, *leaderboardCSV)
-		dumpEvents(recorder, *eventsOut)
+		dumpEvents(epochs, *eventsOut)
 		dumpTrace(tracer, *traceOut)
-		dumpLearning(curves, *learningCSV)
+		dumpLearning(epochs, *learningCSV)
 		saveAgentFile(lastAgent, *saveAgent)
 		return
 	}
@@ -198,9 +191,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, "thermsim:", err)
 			os.Exit(1)
 		}
-		dumpEvents(recorder, *eventsOut)
+		dumpEvents(epochs, *eventsOut)
 		dumpTrace(tracer, *traceOut)
-		dumpLearning(curves, *learningCSV)
+		dumpLearning(epochs, *learningCSV)
 		saveAgentFile(lastAgent, *saveAgent)
 		return
 	}
@@ -214,9 +207,9 @@ func main() {
 		}
 		fmt.Printf("=== %s (completed in %v) ===\n%s\n", id, time.Since(start).Round(time.Millisecond), out)
 	}
-	dumpEvents(recorder, *eventsOut)
+	dumpEvents(epochs, *eventsOut)
 	dumpTrace(tracer, *traceOut)
-	dumpLearning(curves, *learningCSV)
+	dumpLearning(epochs, *learningCSV)
 	saveAgentFile(lastAgent, *saveAgent)
 }
 
@@ -302,11 +295,11 @@ func saveAgentFile(a *rl.Agent, path string) {
 	}
 }
 
-// dumpLearning writes the sampled learning curves as one deterministic CSV
-// for -learning-csv. Runs that sampled nothing (deterministic baselines) are
-// simply absent; a run list with no learner yields a header-only file.
-func dumpLearning(curves *rl.CurveSet, path string) {
-	if curves == nil || path == "" {
+// dumpLearning writes the logged learning curves as one deterministic CSV
+// for -learning-csv. Deterministic baselines log nothing and are simply
+// absent; a run list with no learner yields a header-only file.
+func dumpLearning(epochs *telemetry.EpochLog, path string) {
+	if path == "" {
 		return
 	}
 	f, err := os.Create(path)
@@ -314,7 +307,7 @@ func dumpLearning(curves *rl.CurveSet, path string) {
 		fmt.Fprintln(os.Stderr, "thermsim: -learning-csv:", err)
 		os.Exit(1)
 	}
-	err = curves.WriteCSV(f)
+	err = epochs.WriteCSV(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -324,10 +317,10 @@ func dumpLearning(curves *rl.CurveSet, path string) {
 	}
 }
 
-// dumpEvents writes the recorded decision trace as JSONL to path ("-" means
+// dumpEvents writes the logged decision epochs as JSONL to path ("-" means
 // stderr, keeping stdout clean for -json rows).
-func dumpEvents(rec *telemetry.Recorder, path string) {
-	if rec == nil {
+func dumpEvents(epochs *telemetry.EpochLog, path string) {
+	if path == "" {
 		return
 	}
 	var w io.Writer
@@ -342,12 +335,9 @@ func dumpEvents(rec *telemetry.Recorder, path string) {
 		defer f.Close()
 		w = f
 	}
-	if err := rec.WriteJSONL(w); err != nil {
+	if err := epochs.WriteEvents(w); err != nil {
 		fmt.Fprintln(os.Stderr, "thermsim: events:", err)
 		os.Exit(1)
-	}
-	if n := rec.Dropped(); n > 0 {
-		fmt.Fprintf(os.Stderr, "thermsim: events: ring buffer dropped the oldest %d events (kept %d)\n", n, rec.Len())
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"repro/internal/governor"
 	"repro/internal/rl"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -58,8 +59,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pol := &sim.ProposedPolicy{Config: &ctl, History: true}
-	tuned, err := sim.Run(sim.DefaultRunConfig(), spec.Generate(), pol)
+	pol := &sim.ProposedPolicy{Config: &ctl}
+	rc := sim.DefaultRunConfig()
+	rc.Epochs = telemetry.NewEpochLog() // keep the controller's per-epoch records
+	tuned, err := sim.Run(rc, spec.Generate(), pol)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,7 +74,7 @@ func main() {
 	}
 
 	// 4. Inspect what the controller learned: the last action it settled on.
-	hist := pol.Controller().History()
+	hist := tuned.Epochs.Points
 	if len(hist) > 0 {
 		last := hist[len(hist)-1]
 		fmt.Printf("\nfinal action: %s (after %d epochs, phase %v)\n",

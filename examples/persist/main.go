@@ -16,6 +16,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/platform"
+	"repro/internal/rl"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -39,7 +41,9 @@ func run(saved *bytes.Buffer) outcome {
 			log.Fatal(err)
 		}
 	}
-	ctl.RecordHistory(true)
+	// Keep the per-epoch records to count the exploration epochs below.
+	var epochs []telemetry.Epoch
+	ctl.AttachEpochHook(rl.NewEpochHook(0, func(e telemetry.Epoch) { epochs = append(epochs, e) }))
 	peak := 0.0
 	for !p.Done() {
 		p.Step()
@@ -53,8 +57,8 @@ func run(saved *bytes.Buffer) outcome {
 	// Count the epochs this run spent exploring (alpha above the
 	// exploration threshold).
 	explore := 0
-	for _, h := range ctl.History() {
-		if h.Alpha >= 0.55 {
+	for _, e := range epochs {
+		if e.Alpha >= 0.55 {
 			explore++
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/policy"
-	"repro/internal/rl"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -115,13 +114,15 @@ func runCell(cfg experiments.Config, spec *Spec, c cellPlan) (Row, error) {
 	}
 	rc := cfg.Run
 	rc.DiscardTrace = true
-	// Tournament cells always sample the learning curve: sampling is
-	// observation-only (it never touches a policy's action-selection RNG),
-	// so rows stay bit-identical with and without it across standalone,
-	// pooled and sharded execution — while every row gains the convergence
-	// verdict and per-core damage attribution.
-	var sampled *rl.LearningSampler
-	rc.LearningObserver = func(_, _ string, s *rl.LearningSampler) { sampled = s }
+	// Tournament cells always log their learners' epochs, filed under the
+	// cell's coordinates: observing never touches a policy's
+	// action-selection RNG, so rows stay bit-identical with and without it
+	// across standalone, pooled and sharded execution — while every row
+	// gains the convergence verdict of its run summary.
+	if rc.Epochs == nil {
+		rc.Epochs = telemetry.NewEpochLog()
+	}
+	rc.Epochs = rc.Epochs.For(c.Policy, c.Workload, c.Seed, c.Repeat)
 	res, err := sim.Run(rc, work, pol)
 	if err != nil {
 		return Row{}, err
@@ -140,14 +141,8 @@ func runCell(cfg experiments.Config, spec *Spec, c cellPlan) (Row, error) {
 	if ec, ok := pol.(interface{ DecisionEpochs() int }); ok {
 		row.DecisionEpochs = ec.DecisionEpochs()
 	}
-	if sampled != nil {
-		row.ConvergeEpoch = sampled.ConvergedEpoch() // -1 when never converged
-		if cfg.LearningCurves != nil {
-			cfg.LearningCurves.Add(rl.RunCurve{
-				Policy: c.Policy, Workload: c.Workload, Seed: c.Seed, Repeat: c.Repeat,
-				Points: sampled.Points(), Summary: sampled.Summary(),
-			})
-		}
+	if res.Epochs != nil {
+		row.ConvergeEpoch = res.Epochs.Summary.ConvergeEpoch // -1 when never converged
 	}
 	return row, nil
 }

@@ -68,7 +68,7 @@ func TestClusterMergedTrace(t *testing.T) {
 		t.Fatalf("job finished %s: %s", job.State, job.Error)
 	}
 
-	tracer, ok := tc.store.Tracer(job.ID)
+	tracer, ok := tc.pool.JobTracer(job.ID)
 	if !ok || tracer == nil {
 		t.Fatal("job has no tracer")
 	}
@@ -322,7 +322,7 @@ func TestWorkerDrainFlushesSpans(t *testing.T) {
 	w.cancel()
 	waitFor(t, 5*time.Second, "span batch flush", func() bool { return w.batchesFlushed.Load() == 1 })
 	waitFor(t, 5*time.Second, "flush merged into job trace", func() bool {
-		tracer, ok := tc.store.Tracer(job.ID)
+		tracer, ok := tc.pool.JobTracer(job.ID)
 		if !ok {
 			return false
 		}
@@ -337,7 +337,7 @@ func TestWorkerDrainFlushesSpans(t *testing.T) {
 		t.Fatalf("span_flushes_total = %v, want 1", got)
 	}
 	// The flushed batch must contain the worker-side run span (partial work).
-	tracer, _ := tc.store.Tracer(job.ID)
+	tracer, _ := tc.pool.JobTracer(job.ID)
 	var sawRun bool
 	for _, sp := range tracer.Snapshot() {
 		if sp.Kind == telemetry.KindRun {

@@ -2,11 +2,9 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"log/slog"
 	"math"
 	"strings"
 
@@ -132,25 +130,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// EpochRecord captures one decision epoch for diagnostics and experiments.
-type EpochRecord struct {
-	// Time is the simulated time at the end of the epoch, seconds.
-	Time float64
-	// Metrics are the epoch's thermal/performance metrics.
-	Metrics EpochMetrics
-	// State and Action are the Q-table indices used.
-	State, Action int
-	// Reward is the Eq. 8 value granted for the previous action.
-	Reward float64
-	// Alpha is the learning rate after this epoch.
-	Alpha float64
-	// SamplingS is the temperature sampling interval used for this epoch
-	// (changes over time under AdaptiveSampling).
-	SamplingS float64
-	// Event records workload-variation handling: "", "intra" or "inter".
-	Event string
-}
-
 // Controller is the run-time system of Fig. 2 driving one platform.
 type Controller struct {
 	cfg   Config
@@ -203,21 +182,9 @@ type Controller struct {
 	verifyCountdown          int
 	adoptedSigS, adoptedSigA float64
 
-	history       []EpochRecord
-	recordHistory bool
-	// recorder, when attached, receives one telemetry.DecisionEvent per
-	// epoch (the observable trace of the paper's re-learning behaviour).
-	recorder *telemetry.Recorder
-	// tracer, when attached, receives one epoch span per decision epoch
-	// under traceSpan (the run span). wallEpochStartUS anchors each epoch
-	// span on the wall-clock timeline so epochs partition the run span.
-	tracer           *telemetry.Tracer
-	traceSpan        telemetry.SpanID
-	wallEpochStartUS int64
-	// curve, when attached, samples one learning-curve point per decision
-	// epoch (nil receiver disables at a single branch; see rl.LearningSampler).
-	curve *rl.LearningSampler
-	log   *slog.Logger
+	// hook, when attached, receives one telemetry.Epoch record per decision
+	// epoch (nil disables at a single branch; see rl.EpochHook).
+	hook *rl.EpochHook
 }
 
 // New creates a controller attached to a platform. The platform should be
@@ -250,7 +217,6 @@ func New(cfg Config, p *platform.Platform) (*Controller, error) {
 		maStress:       trace.NewMovingAverage(cfg.MAWindow),
 		maAging:        trace.NewMovingAverage(cfg.MAWindow),
 		acMA:           trace.NewMovingAverage(3),
-		log:            telemetry.Component("core"),
 	}
 	for i := range c.rec {
 		c.rec[i] = make([]float64, 0, cfg.EpochSamples)
@@ -347,31 +313,15 @@ func (c *Controller) LoadState(r io.Reader) error {
 	return nil
 }
 
-// RecordHistory enables per-epoch record keeping (used by experiments).
-func (c *Controller) RecordHistory(on bool) { c.recordHistory = on }
-
-// AttachRecorder streams one decision event per epoch into r (nil detaches).
-// The recorder is bounded, so attaching costs O(capacity) memory however
-// long the run.
-func (c *Controller) AttachRecorder(r *telemetry.Recorder) { c.recorder = r }
-
-// AttachTracer makes the controller emit one epoch span per decision epoch,
-// parented under runSpan. Epoch spans carry the observed state, applied
-// action, granted reward, learning phase, exploration flag and any
-// variation-detector verdict — Algorithm 1 rendered on a timeline.
-func (c *Controller) AttachTracer(t *telemetry.Tracer, runSpan telemetry.SpanID) {
-	c.tracer = t
-	c.traceSpan = runSpan
-	c.wallEpochStartUS = t.Now()
-}
-
-// AttachLearningSampler samples a learning-curve point per decision epoch and
-// routes the agent's TD errors into s. Attaching is purely observational: the
-// sampler never touches the agent's action-selection RNG, so the learned
-// policy and every derived row stay bit-identical. Pass nil to detach.
-func (c *Controller) AttachLearningSampler(s *rl.LearningSampler) {
-	c.curve = s
-	c.agent.AttachSampler(s)
+// AttachEpochHook hands one telemetry.Epoch record per decision epoch to h —
+// the observed window, state, action, reward, learning phase, exploration
+// flag and variation verdict of Algorithm 1 — and routes the agent's TD
+// errors into it. Attaching is purely observational: the hook never touches
+// the agent's action-selection RNG, so the learned policy and every derived
+// row stay bit-identical. Pass nil to detach.
+func (c *Controller) AttachEpochHook(h *rl.EpochHook) {
+	c.hook = h
+	c.agent.AttachHook(h)
 }
 
 // CurrentDecision reports the decision epoch currently in force and the
@@ -384,9 +334,6 @@ func (c *Controller) CurrentDecision() (epoch, action int) {
 	}
 	return c.localEpochs, c.prevAction
 }
-
-// History returns the recorded epochs (empty unless RecordHistory(true)).
-func (c *Controller) History() []EpochRecord { return c.history }
 
 // ConvergedEpoch returns the epoch index at which the visited-pair fraction
 // first reached ConvergeFraction, or -1 if not yet.
@@ -553,23 +500,9 @@ func (c *Controller) endEpoch() {
 	c.prevState, c.prevAction = state, action
 	c.havePrev = true
 	c.agent.EndEpoch()
-	c.curve.EndEpoch(c.localEpochs, now, reward, c.agent.Alpha(), state, action, c.agent.Q())
-
-	if c.recordHistory {
-		c.history = append(c.history, EpochRecord{
-			Time:      now,
-			Metrics:   m,
-			State:     state,
-			Action:    action,
-			Reward:    reward,
-			Alpha:     c.agent.Alpha(),
-			SamplingS: c.samplingS,
-			Event:     event,
-		})
-	}
-	if c.recorder != nil {
+	if c.hook != nil {
 		kind, switched := eventKind(event)
-		c.recorder.Record(telemetry.DecisionEvent{
+		c.hook.Emit(telemetry.Epoch{
 			Epoch:          c.localEpochs,
 			TimeS:          now,
 			Workload:       c.p.Workload().Name(),
@@ -581,32 +514,13 @@ func (c *Controller) endEpoch() {
 			Explored:       c.agent.LastSelectionExplored(),
 			Kind:           kind,
 			SwitchDetected: switched,
-		})
-	}
-	if c.tracer != nil {
-		kind, switched := eventKind(event)
-		wallNow := c.tracer.Now()
-		c.tracer.Record(c.traceSpan, telemetry.KindEpoch,
-			fmt.Sprintf("epoch %d", c.localEpochs),
-			c.wallEpochStartUS, wallNow-c.wallEpochStartUS,
-			telemetry.Num("epoch", float64(c.localEpochs)),
-			telemetry.Num("time_s", now),
-			telemetry.Str("workload", c.p.Workload().Name()),
-			telemetry.Num("state", float64(state)),
-			telemetry.Num("action", float64(action)),
-			telemetry.Num("reward", reward),
-			telemetry.Num("alpha", c.agent.Alpha()),
-			telemetry.Str("phase", c.agent.Phase().String()),
-			telemetry.Bool("explored", c.agent.LastSelectionExplored()),
-			telemetry.Str("event", kind),
-			telemetry.Bool("switch_detected", switched))
-		c.wallEpochStartUS = wallNow
-	}
-	if c.log.Enabled(context.Background(), slog.LevelDebug) {
-		c.log.Debug("epoch",
-			"epoch", c.localEpochs, "t", now, "workload", c.p.Workload().Name(),
-			"state", state, "action", action, "reward", reward,
-			"alpha", c.agent.Alpha(), "phase", c.agent.Phase().String(), "event", event)
+			SamplingS:      c.samplingS,
+			Stress:         m.Stress,
+			Aging:          m.Aging,
+			AvgTempC:       m.AvgTemp,
+			PeakTempC:      m.PeakTemp,
+			Throughput:     m.Throughput,
+		}, c.agent.Q())
 	}
 
 	if c.cfg.AdaptiveSampling {

@@ -7,6 +7,8 @@ import (
 	"testing/quick"
 
 	"repro/internal/platform"
+	"repro/internal/rl"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -15,6 +17,13 @@ func quickConfig() Config {
 	cfg.SamplingIntervalS = 1.0
 	cfg.EpochSamples = 3
 	return cfg
+}
+
+// recordEpochs attaches an epoch hook that keeps every record c emits.
+func recordEpochs(c *Controller) *[]telemetry.Epoch {
+	var epochs []telemetry.Epoch
+	c.AttachEpochHook(rl.NewEpochHook(0, func(e telemetry.Epoch) { epochs = append(epochs, e) }))
+	return &epochs
 }
 
 func controllerFixture(t *testing.T, cfg Config) (*Controller, *platform.Platform) {
@@ -51,13 +60,13 @@ func TestNewValidation(t *testing.T) {
 func TestControllerEpochCadence(t *testing.T) {
 	cfg := quickConfig()
 	c, p := controllerFixture(t, cfg)
-	c.RecordHistory(true)
+	hist := recordEpochs(c)
 	// 10 simulated seconds at 1 s sampling, 3-sample epochs -> 3 epochs.
 	for p.Now() < 10 {
 		p.Step()
 		c.Tick()
 	}
-	if got := len(c.History()); got != 3 {
+	if got := len(*hist); got != 3 {
 		t.Errorf("epochs after 10 s = %d, want 3", got)
 	}
 	if c.EpochSeconds() != 3 {
@@ -84,17 +93,17 @@ func TestControllerSamplesChargeCounters(t *testing.T) {
 func TestControllerAppliesActions(t *testing.T) {
 	cfg := quickConfig()
 	c, p := controllerFixture(t, cfg)
-	c.RecordHistory(true)
+	hist := recordEpochs(c)
 	for p.Now() < 20 {
 		p.Step()
 		c.Tick()
 	}
-	if len(c.History()) == 0 {
+	if len(*hist) == 0 {
 		t.Fatal("no epochs ran")
 	}
 	// The platform's governors must have been replaced at least once: check
 	// that a recorded action index is within range and history is coherent.
-	for _, h := range c.History() {
+	for _, h := range *hist {
 		if h.Action < 0 || h.Action >= len(cfg.Actions) {
 			t.Errorf("recorded action %d out of range", h.Action)
 		}
@@ -123,12 +132,12 @@ func TestControllerAlphaDecaysOverEpochs(t *testing.T) {
 func TestControllerRewardRecordedAfterFirstEpoch(t *testing.T) {
 	cfg := quickConfig()
 	c, p := controllerFixture(t, cfg)
-	c.RecordHistory(true)
+	hist := recordEpochs(c)
 	for p.Now() < 12 {
 		p.Step()
 		c.Tick()
 	}
-	h := c.History()
+	h := *hist
 	if len(h) < 2 {
 		t.Fatal("need at least 2 epochs")
 	}
@@ -260,7 +269,7 @@ func TestAdaptiveSamplingRetunes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.RecordHistory(true)
+	hist := recordEpochs(c)
 	for !p.Done() && p.Now() < 400 {
 		p.Step()
 		c.Tick()
@@ -268,10 +277,10 @@ func TestAdaptiveSamplingRetunes(t *testing.T) {
 	if c.SamplingInterval() > cfg.AdaptiveMaxS || c.SamplingInterval() < cfg.AdaptiveMinS {
 		t.Errorf("interval %g escaped [%g, %g]", c.SamplingInterval(), cfg.AdaptiveMinS, cfg.AdaptiveMaxS)
 	}
-	// History records the interval used per epoch, and the controller must
+	// The records carry the interval used per epoch, and the controller must
 	// have widened it at least once (1 s sampling of tachyon's smooth
 	// profile is redundant).
-	h := c.History()
+	h := *hist
 	if len(h) == 0 || h[0].SamplingS != 1 {
 		t.Error("first epoch should record the initial interval")
 	}

@@ -3,6 +3,7 @@ package durable
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -13,7 +14,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// ErrNoTrace is returned when a job has no archived trace.
+// ErrNoTrace is returned when a job has no archive.
 var ErrNoTrace = errors.New("durable: no archived trace")
 
 // DefaultTraceKeep bounds how many archived traces survive pruning when the
@@ -24,10 +25,12 @@ const DefaultTraceKeep = 64
 // "job-%06d" but recovered journals may carry arbitrary strings.
 var traceJobRE = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]{0,127}$`)
 
-// TraceStore archives the span traces of finished jobs as JSONL files, one
-// per job, so a trace outlives its job's in-memory eviction. The store prunes
-// itself to the newest keep archives (job IDs sort chronologically), keeping
-// disk usage bounded however long the server runs.
+// TraceStore archives what each finished job observed — its span trace and
+// its epoch log — as JSONL files (trace-<job>.jsonl, plus epochs-<job>.jsonl
+// when the job logged any run), so every observability route outlives the
+// job's in-memory eviction. The store prunes itself to the newest keep
+// archives (job IDs sort chronologically), keeping disk usage bounded
+// however long the server runs.
 type TraceStore struct {
 	mu   sync.Mutex
 	dir  string
@@ -50,52 +53,83 @@ func (ts *TraceStore) path(job string) string {
 	return filepath.Join(ts.dir, "trace-"+job+".jsonl")
 }
 
-// Save archives the spans of one job atomically (write-temp + rename) and
-// prunes the oldest archives past the retention bound.
-func (ts *TraceStore) Save(job string, spans []telemetry.Span) error {
+func (ts *TraceStore) epochsPath(job string) string {
+	return filepath.Join(ts.dir, "epochs-"+job+".jsonl")
+}
+
+// Save archives one job's spans and epoch log (which may be nil) atomically
+// (write-temp + rename, epochs first so a present trace file means a
+// complete archive) and prunes the oldest archives past the retention bound.
+func (ts *TraceStore) Save(job string, spans []telemetry.Span, epochs *telemetry.EpochLog) error {
 	if !traceJobRE.MatchString(job) {
 		return fmt.Errorf("durable: bad trace job name %q", job)
 	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	tmp := ts.path(job) + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("durable: save trace: %w", err)
+	if runs := epochs.Runs(); len(runs) > 0 {
+		if err := writeAtomic(ts.epochsPath(job), func(w io.Writer) error { return telemetry.WriteRuns(w, runs) }); err != nil {
+			return fmt.Errorf("durable: save epochs %s: %w", job, err)
+		}
 	}
-	if err := telemetry.WriteSpansJSONL(f, spans); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("durable: save trace %s: %w", job, err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("durable: save trace %s: %w", job, err)
-	}
-	if err := os.Rename(tmp, ts.path(job)); err != nil {
-		os.Remove(tmp)
+	if err := writeAtomic(ts.path(job), func(w io.Writer) error { return telemetry.WriteSpansJSONL(w, spans) }); err != nil {
 		return fmt.Errorf("durable: save trace %s: %w", job, err)
 	}
 	ts.pruneLocked()
 	return nil
 }
 
-// Load reads back one job's archived spans (ErrNoTrace when absent).
-func (ts *TraceStore) Load(job string) ([]telemetry.Span, error) {
+// writeAtomic writes path through a temp file renamed into place.
+func writeAtomic(path string, write func(io.Writer) error) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
+}
+
+// Load reads back one job's archived spans and epoch log (ErrNoTrace when
+// absent; a nil log when the job logged no run).
+func (ts *TraceStore) Load(job string) ([]telemetry.Span, *telemetry.EpochLog, error) {
 	if !traceJobRE.MatchString(job) {
-		return nil, ErrNoTrace
+		return nil, nil, ErrNoTrace
 	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	f, err := os.Open(ts.path(job))
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, ErrNoTrace
+			return nil, nil, ErrNoTrace
 		}
-		return nil, fmt.Errorf("durable: load trace %s: %w", job, err)
+		return nil, nil, fmt.Errorf("durable: load trace %s: %w", job, err)
 	}
 	defer f.Close()
-	return telemetry.DecodeSpansJSONL(f)
+	spans, err := telemetry.DecodeSpansJSONL(f)
+	if err != nil {
+		return nil, nil, err
+	}
+	ef, err := os.Open(ts.epochsPath(job))
+	if os.IsNotExist(err) {
+		return spans, nil, nil
+	} else if err != nil {
+		return nil, nil, fmt.Errorf("durable: load epochs %s: %w", job, err)
+	}
+	defer ef.Close()
+	epochs, err := telemetry.DecodeEpochLog(ef)
+	if err != nil {
+		return nil, nil, err
+	}
+	return spans, epochs, nil
 }
 
 // Delete removes one job's archive (idempotent).
@@ -105,8 +139,10 @@ func (ts *TraceStore) Delete(job string) error {
 	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	if err := os.Remove(ts.path(job)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("durable: delete trace %s: %w", job, err)
+	for _, path := range []string{ts.path(job), ts.epochsPath(job)} {
+		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("durable: delete trace %s: %w", job, err)
+		}
 	}
 	return nil
 }
@@ -146,6 +182,7 @@ func (ts *TraceStore) pruneLocked() {
 	jobs := ts.listLocked()
 	for len(jobs) > ts.keep {
 		os.Remove(ts.path(jobs[0]))
+		os.Remove(ts.epochsPath(jobs[0]))
 		jobs = jobs[1:]
 	}
 }

@@ -367,12 +367,12 @@ func TestManycoreMappingsDegenerateGrids(t *testing.T) {
 }
 
 func TestRunRowsMatchesNames(t *testing.T) {
-	rows, err := quickRowsWide()
+	wide, err := quickRowsWide()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range ExperimentNames() {
-		if string(rows[id]) == "null" {
+		if string(wide.rows[id]) == "null" {
 			t.Errorf("%s returned nil rows", id)
 		}
 	}
@@ -497,26 +497,45 @@ func TestCampaignCancellation(t *testing.T) {
 	}
 }
 
+// quickRun is every quick experiment's rows as JSON, by experiment, and the
+// -events and -learning-csv renderings of the epoch log the runs filled.
+type quickRun struct {
+	rows   map[string][]byte
+	epochs []byte
+}
+
 // quickRowsJSON runs every quick experiment through RunRows at the given
-// GOMAXPROCS (the executor's width) and returns each one's rows as JSON.
-func quickRowsJSON(procs int) (map[string][]byte, error) {
+// GOMAXPROCS (the executor's width) with one epoch log armed, as thermsim
+// -events does; logging is observation-only, which the comparison with
+// the plain cell loop (TestCellsMatchSequentialRunners) checks.
+func quickRowsJSON(procs int) (quickRun, error) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	out := map[string][]byte{}
+	cfg := quickCfg()
+	cfg.Run.Epochs = telemetry.NewEpochLog()
+	out := quickRun{rows: map[string][]byte{}}
 	for _, id := range ExperimentNames() {
-		rows, err := RunRows(quickCfg(), id)
+		rows, err := RunRows(cfg, id)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", id, err)
+			return out, fmt.Errorf("%s: %w", id, err)
 		}
-		if out[id], err = json.Marshal(rows); err != nil {
-			return nil, err
+		if out.rows[id], err = json.Marshal(rows); err != nil {
+			return out, err
 		}
 	}
+	var buf bytes.Buffer
+	if err := cfg.Run.Epochs.WriteEvents(&buf); err != nil {
+		return out, err
+	}
+	if err := cfg.Run.Epochs.WriteCSV(&buf); err != nil {
+		return out, err
+	}
+	out.epochs = buf.Bytes()
 	return out, nil
 }
 
 // quickRowsWide is quickRowsJSON at width 4, computed once for the tests
 // that compare against it.
-var quickRowsWide = sync.OnceValues(func() (map[string][]byte, error) { return quickRowsJSON(4) })
+var quickRowsWide = sync.OnceValues(func() (quickRun, error) { return quickRowsJSON(4) })
 
 func TestCellsMatchSequentialRunners(t *testing.T) {
 	// Executing each experiment's cells one after another, in plan order,
@@ -529,10 +548,11 @@ func TestCellsMatchSequentialRunners(t *testing.T) {
 		v, _ := telemetry.Default().Value("sim_runs_total")
 		return v
 	}
-	got, err := quickRowsWide()
+	wide, err := quickRowsWide()
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := wide.rows
 	for _, id := range ExperimentNames() {
 		cells, assemble, err := Cells(cfg, id)
 		if err != nil {
@@ -561,7 +581,9 @@ func TestCellsMatchSequentialRunners(t *testing.T) {
 }
 
 func TestRunRowsWidthIndependent(t *testing.T) {
-	// The executor's width comes from GOMAXPROCS; the rows must not.
+	// The executor's width comes from GOMAXPROCS; the rows must not, and
+	// neither must the -events and -learning-csv renderings of the epoch
+	// log, which order runs by coordinates and content.
 	one, err := quickRowsJSON(1)
 	if err != nil {
 		t.Fatal(err)
@@ -571,9 +593,15 @@ func TestRunRowsWidthIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range ExperimentNames() {
-		if !bytes.Equal(one[id], four[id]) {
+		if !bytes.Equal(one.rows[id], four.rows[id]) {
 			t.Errorf("%s: rows differ between width 1 and width 4", id)
 		}
+	}
+	if !bytes.Equal(one.epochs, four.epochs) {
+		t.Error("epoch renderings differ between width 1 and width 4")
+	}
+	if len(one.epochs) == 0 {
+		t.Error("quick experiments logged no epochs")
 	}
 }
 

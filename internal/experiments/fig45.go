@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/governor"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -49,25 +50,30 @@ func fig45Plan(Config) ([]planned, Assemble) {
 			if err != nil {
 				return nil, err
 			}
-			pp := &sim.ProposedPolicy{History: true}
+			pp := &sim.ProposedPolicy{}
 			configureProposed(cfg, pp)
-			prop, err := sim.Run(cfg.Run, app, pp)
+			// The run's epoch records locate the end of exploration, so
+			// they are logged even when nothing else observes the run.
+			rc := cfg.Run
+			if rc.Epochs == nil {
+				rc.Epochs = telemetry.NewEpochLog()
+			}
+			prop, err := sim.Run(rc, app, pp)
 			if err != nil {
 				return nil, err
 			}
 			res := &Fig45Result{ProposedSeries: prop.Trace.MaxSeries()}
-			// Find the end of the exploration phase from the controller
-			// history: the first epoch whose alpha dropped below the explore
-			// threshold.
-			hist := pp.Controller().History()
-			for _, h := range hist {
-				if h.Alpha < 0.55 {
-					res.ExplorationEndS = h.Time
+			// The end of the exploration phase is the first epoch whose
+			// alpha dropped below the explore threshold.
+			epochs := prop.Epochs.Points
+			for _, e := range epochs {
+				if e.Alpha < 0.55 {
+					res.ExplorationEndS = e.TimeS
 					break
 				}
 			}
-			if res.ExplorationEndS == 0 && len(hist) > 0 {
-				res.ExplorationEndS = hist[len(hist)-1].Time
+			if res.ExplorationEndS == 0 && len(epochs) > 0 {
+				res.ExplorationEndS = epochs[len(epochs)-1].TimeS
 			}
 			return res, nil
 		}},

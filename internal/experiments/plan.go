@@ -140,13 +140,13 @@ func Cells(cfg Config, id string) ([]Cell, Assemble, error) {
 // left cells unrun. Once ctx is cancelled no further cell starts.
 //
 // Cells share no state, so they run on min(GOMAXPROCS, len(cells))
-// goroutines, and the assembled rows do not depend on that width. The one
-// exception is a config carrying an order-dependent observer: the Recorder's
-// event order (-events) and AgentObserver's "last run" (-save-agent) are
-// defined by sequential cell order, so such configs run on one goroutine.
+// goroutines, and the assembled rows do not depend on that width (nor does
+// the rendering of an epoch log, which orders runs by content). The one
+// exception is AgentObserver: its "last run" (-save-agent) is defined by
+// sequential cell order, so such configs run on one goroutine.
 func RunCells(ctx context.Context, cfg Config, cells []Cell) ([]any, error) {
 	width := min(runtime.GOMAXPROCS(0), len(cells))
-	if cfg.Run.Recorder != nil || cfg.Run.AgentObserver != nil {
+	if cfg.Run.AgentObserver != nil {
 		width = 1
 	}
 	rows := make([]any, len(cells))

@@ -204,17 +204,17 @@ func TestDistilledTeacherAgreement(t *testing.T) {
 	}
 	rc := sim.DefaultRunConfig()
 	rc.DiscardTrace = true
-	rec := telemetry.NewRecorder(0)
-	rc.Recorder = rec
+	rc.Epochs = telemetry.NewEpochLog()
 	work, err := workload.ByName("tachyon", workload.Set1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sim.Run(rc, work, pol); err != nil {
+	res, err := sim.Run(rc, work, pol)
+	if err != nil {
 		t.Fatal(err)
 	}
 	agree, total := 0, 0
-	for _, ev := range rec.Events() {
+	for _, ev := range res.Epochs.Points {
 		if ev.Kind != telemetry.EventDecision {
 			continue
 		}
@@ -330,5 +330,45 @@ func TestReLeTACheckpointRoundTrip(t *testing.T) {
 	}
 	if _, err := sim.Run(rc, work, r2); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReLeTAEmitsEpochRecords: the ReLeTA learner hands one epoch record per
+// decision to the run's hook, so its epochs reach the epoch log (and through
+// it /events, /live and the learning curves) and render as epoch spans.
+func TestReLeTAEmitsEpochRecords(t *testing.T) {
+	pol, err := policy.New("releta", policy.Options{Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := sim.DefaultRunConfig()
+	rc.DiscardTrace = true
+	rc.Epochs = telemetry.NewEpochLog()
+	rc.Tracer = telemetry.NewTracer(0)
+	work, _ := workload.ByName("mpegdec", workload.Set1)
+	res, err := sim.Run(rc, work, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	epochs := pol.(*policy.ReLeTA).DecisionEpochs()
+	if res.Epochs == nil || len(res.Epochs.Points) != epochs || epochs == 0 {
+		t.Fatalf("logged run %+v, want %d records", res.Epochs, epochs)
+	}
+	if sum := res.Epochs.Summary; sum == nil || sum.Epochs != epochs || sum.Coverage <= 0 {
+		t.Errorf("run summary %+v", sum)
+	}
+	for i, e := range res.Epochs.Points {
+		if e.Epoch != i+1 || e.Kind != telemetry.EventDecision || e.Workload != work.Name() || e.PeakTempC <= 0 {
+			t.Fatalf("record %d = %+v", i, e)
+		}
+	}
+	spans := 0
+	for _, sp := range rc.Tracer.Snapshot() {
+		if sp.Kind == telemetry.KindEpoch {
+			spans++
+		}
+	}
+	if spans != epochs {
+		t.Errorf("%d epoch spans for %d epochs", spans, epochs)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/platform"
 	"repro/internal/rl"
+	"repro/internal/telemetry"
 )
 
 // slopeBins is the fixed trend discretization of the ReLeTA state: falling,
@@ -94,8 +95,8 @@ type ReLeTA struct {
 	rewardSum             float64
 	rewardN               int
 	epochs                int
-	// curve samples one learning-curve point per decision epoch (nil = off).
-	curve *rl.LearningSampler
+	// hook receives one telemetry.Epoch record per decision epoch (nil = off).
+	hook *rl.EpochHook
 }
 
 // Name returns "releta".
@@ -131,18 +132,15 @@ func (r *ReLeTA) Attach(p *platform.Platform) error {
 	r.sensorBuf = make([]float64, p.NumCores())
 	r.nextSample = cfg.SamplingIntervalS
 	r.peak = math.Inf(-1)
-	r.agent.AttachSampler(r.curve)
 	return nil
 }
 
-// AttachLearningSampler enables per-epoch learning-curve sampling (nil
-// detaches). Valid before or after Attach; sampling is observation-only and
-// never perturbs the agent's action-selection RNG.
-func (r *ReLeTA) AttachLearningSampler(s *rl.LearningSampler) {
-	r.curve = s
-	if r.agent != nil {
-		r.agent.AttachSampler(s)
-	}
+// AttachEpochHook hands one telemetry.Epoch record per decision epoch to h
+// (nil detaches), implementing sim.EpochAttacher; call after Attach.
+// Observing never perturbs the agent's action-selection RNG.
+func (r *ReLeTA) AttachEpochHook(h *rl.EpochHook) {
+	r.hook = h
+	r.agent.AttachHook(h)
 }
 
 // CurrentDecision reports the decision epoch currently in force and the
@@ -209,7 +207,22 @@ func (r *ReLeTA) endEpoch() {
 	r.prevState, r.prevAction = state, action
 	r.havePrev = true
 	r.agent.EndEpoch()
-	r.curve.EndEpoch(r.epochs, r.p.Now(), reward, r.agent.Alpha(), state, action, r.agent.Q())
+	if r.hook != nil {
+		r.hook.Emit(telemetry.Epoch{
+			Epoch:     r.epochs,
+			TimeS:     r.p.Now(),
+			Workload:  r.p.Workload().Name(),
+			State:     state,
+			Action:    action,
+			Reward:    reward,
+			Alpha:     r.agent.Alpha(),
+			Phase:     r.agent.Phase().String(),
+			Explored:  r.agent.LastSelectionExplored(),
+			Kind:      telemetry.EventDecision,
+			SamplingS: r.cfg.SamplingIntervalS,
+			PeakTempC: r.peak,
+		}, r.agent.Q())
+	}
 
 	r.samples = 0
 	r.peak = math.Inf(-1)

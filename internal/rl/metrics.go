@@ -22,7 +22,7 @@ var (
 	mAlpha          *telemetry.Gauge
 	mReward         *telemetry.Histogram
 
-	// Learning-curve health (finalized samplers; see LearningStats).
+	// Learning-curve health (finalized epoch hooks; see LearningStats).
 	mLearningRuns         *telemetry.Counter
 	mLearningConverged    *telemetry.Counter
 	mLearningLastConverge *telemetry.Gauge

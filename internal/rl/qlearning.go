@@ -192,9 +192,9 @@ type Agent struct {
 	relearns  int
 	restores  int
 	adoptions int
-	// curve, when non-nil, receives the TD error of every update. The nil
+	// hook, when non-nil, receives the TD error of every update. The nil
 	// receiver pattern keeps the disabled path to a single branch.
-	curve *LearningSampler
+	hook *EpochHook
 	// lastExplored records whether the most recent action selection was
 	// exploratory (random) rather than greedy — observable per-epoch in the
 	// decision trace.
@@ -273,17 +273,17 @@ func (a *Agent) SelectActionSticky(state, prevAction int) int {
 // SelectActionSticky call took the exploratory branch.
 func (a *Agent) LastSelectionExplored() bool { return a.lastExplored }
 
-// AttachSampler points the agent's updates at a learning-curve sampler (nil
-// detaches). The sampler only observes TD errors; it never touches the
+// AttachHook points the agent's updates at a run's epoch hook (nil
+// detaches). The hook only observes TD errors; it never touches the
 // action-selection RNG, so attaching one cannot perturb the learned policy.
-func (a *Agent) AttachSampler(s *LearningSampler) { a.curve = s }
+func (a *Agent) AttachHook(h *EpochHook) { a.hook = h }
 
 // Observe applies the Eq. 7 update for the transition
 // (prevState, action) -> reward, newState using the current learning rate.
 func (a *Agent) Observe(prevState, action int, reward float64, newState int) {
 	mReward.Observe(reward)
-	if a.curve != nil {
-		a.curve.ObserveTD(reward + a.cfg.Gamma*a.q.MaxQ(newState) - a.q.Get(prevState, action))
+	if a.hook != nil {
+		a.hook.ObserveTD(reward + a.cfg.Gamma*a.q.MaxQ(newState) - a.q.Get(prevState, action))
 	}
 	a.q.Update(prevState, action, reward, a.alpha, a.cfg.Gamma, newState)
 }
@@ -292,8 +292,8 @@ func (a *Agent) Observe(prevState, action int, reward float64, newState int) {
 // new state (see QTable.UpdateSARSA).
 func (a *Agent) ObserveSARSA(prevState, action int, reward float64, newState, newAction int) {
 	mReward.Observe(reward)
-	if a.curve != nil {
-		a.curve.ObserveTD(reward + a.cfg.Gamma*a.q.Get(newState, newAction) - a.q.Get(prevState, action))
+	if a.hook != nil {
+		a.hook.ObserveTD(reward + a.cfg.Gamma*a.q.Get(newState, newAction) - a.q.Get(prevState, action))
 	}
 	a.q.UpdateSARSA(prevState, action, reward, a.alpha, a.cfg.Gamma, newState, newAction)
 }

@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/rl"
+	"repro/internal/telemetry"
 )
 
 // learningResponse mirrors the handleLearning JSON envelope.
@@ -16,9 +16,9 @@ type learningResponse struct {
 	ID    string `json:"id"`
 	State string `json:"state"`
 	Runs  []struct {
-		Policy   string          `json:"policy"`
-		Workload string          `json:"workload"`
-		Summary  rl.CurveSummary `json:"summary"`
+		Policy   string               `json:"policy"`
+		Workload string               `json:"workload"`
+		Summary  telemetry.RunSummary `json:"summary"`
 	} `json:"runs"`
 }
 
@@ -72,7 +72,8 @@ func TestLearningEndpoint(t *testing.T) {
 		t.Fatalf("no proposed run in %+v", lr.Runs)
 	}
 
-	// JSONL streams one decodable rl.RunCurve per line with per-epoch points.
+	// JSONL streams one decodable telemetry.EpochRun per line with per-epoch
+	// points.
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + job.ID + "/learning?format=jsonl")
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +89,7 @@ func TestLearningEndpoint(t *testing.T) {
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
 	for sc.Scan() {
-		var rc rl.RunCurve
+		var rc telemetry.EpochRun
 		if err := json.Unmarshal(sc.Bytes(), &rc); err != nil {
 			t.Fatalf("line %d: %v", lines, err)
 		}

@@ -11,25 +11,24 @@ import (
 	"repro/internal/telemetry"
 )
 
-// defaultLivePoll is how often the live stream drains new decision events;
+// defaultLivePoll is how often the live stream drains new epoch records;
 // tests shorten it to keep streaming assertions fast.
 const defaultLivePoll = 250 * time.Millisecond
 
-// handleLive streams the job's RL decision epochs over Server-Sent Events:
-// one "epoch" event per decision (data = the DecisionEvent JSON), then one
-// "done" event carrying the final job snapshot when the job reaches a
-// terminal state. Clients that lag behind the bounded event ring skip the
-// overwritten epochs; disconnecting clients cost nothing beyond their own
-// request goroutine, which exits on the next poll.
+// handleLive streams the job's decision epochs over Server-Sent Events: one
+// "epoch" event per record of its epoch log, in append order (data = the
+// telemetry.Epoch JSON), then one "done" event carrying the final job
+// snapshot when the job reaches a terminal state. Disconnecting clients cost
+// nothing beyond their own request goroutine, which exits on the next poll.
 func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	rec, ok := s.store.EventsRecorder(id)
+	_, epochs, ok := s.store.Observers(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown job %s", id)
 		return
 	}
-	if rec == nil {
-		writeError(w, http.StatusNotFound, "job %s has no decision-event recorder", id)
+	if epochs == nil {
+		writeError(w, http.StatusNotFound, "job %s has no live epoch log", id)
 		return
 	}
 	fl, ok := w.(http.Flusher)
@@ -47,10 +46,10 @@ func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 	fl.Flush()
 
 	var cursor int64
-	// drain forwards the events recorded since the last poll; a write error
+	// drain forwards the records appended since the last poll; a write error
 	// means the client went away.
 	drain := func() bool {
-		evs, cur := rec.Since(cursor)
+		evs, cur := epochs.Since(cursor)
 		cursor = cur
 		for _, ev := range evs {
 			b, err := json.Marshal(ev)
@@ -93,7 +92,8 @@ func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 // the Chrome trace-event JSON that Perfetto and chrome://tracing load
 // directly, ?format=jsonl the archival one-span-per-line form. A running
 // job's trace snapshots its progress so far (open spans marked); an evicted
-// job's trace is served from the durable archive when one is attached.
+// job's trace is served from the durable archive when one is attached
+// (observations).
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	format := r.URL.Query().Get("format")
@@ -104,27 +104,13 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "unknown trace format %q (want chrome or jsonl)", format)
 		return
 	}
-	var spans []telemetry.Span
-	tracer, ok := s.store.Tracer(id)
-	switch {
-	case ok && tracer != nil:
-		spans = tracer.Snapshot()
-	default:
-		ts := s.pool.TraceStore()
-		if ts == nil {
-			writeError(w, http.StatusNotFound, "unknown job %s", id)
-			return
-		}
-		var err error
-		spans, err = ts.Load(id)
-		if errors.Is(err, durable.ErrNoTrace) {
-			writeError(w, http.StatusNotFound, "no trace for job %s", id)
-			return
-		}
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "load trace: %v", err)
-			return
-		}
+	obs, ok := s.observations(w, id)
+	if !ok {
+		return
+	}
+	spans := obs.spans
+	if obs.tracer != nil {
+		spans = obs.tracer.Snapshot()
 	}
 	switch format {
 	case "chrome":
@@ -135,4 +121,37 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		_ = telemetry.WriteSpansJSONL(w, spans) //nolint:errcheck // client gone; nothing left to do
 	}
+}
+
+// jobObservations is what a job observed: the live job's tracer and epoch
+// log or, once the job is evicted (or restored after a restart), its
+// archived spans and epoch log (nil when it logged no run).
+type jobObservations struct {
+	tracer *telemetry.Tracer
+	spans  []telemetry.Span
+	epochs *telemetry.EpochLog
+}
+
+// observations resolves job id's observations for the trace, events and
+// learning routes, answering 404 (or 500 for an unreadable archive) itself
+// when there are none.
+func (s *Server) observations(w http.ResponseWriter, id string) (jobObservations, bool) {
+	if tracer, epochs, ok := s.store.Observers(id); ok && tracer != nil {
+		return jobObservations{tracer: tracer, epochs: epochs}, true
+	}
+	ts := s.pool.TraceStore()
+	if ts == nil {
+		writeError(w, http.StatusNotFound, "unknown job %s", id)
+		return jobObservations{}, false
+	}
+	spans, epochs, err := ts.Load(id)
+	if errors.Is(err, durable.ErrNoTrace) {
+		writeError(w, http.StatusNotFound, "no trace for job %s", id)
+		return jobObservations{}, false
+	}
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "load trace: %v", err)
+		return jobObservations{}, false
+	}
+	return jobObservations{spans: spans, epochs: epochs}, true
 }

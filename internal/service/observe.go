@@ -29,8 +29,8 @@ func (p *Pool) EnableFlightRecorder(dir string, ceilingC float64, stallDeadline 
 }
 
 // SetTraceStore attaches the archive that keeps finished jobs' span traces
-// across eviction, and hooks store eviction so an evicted job's archive goes
-// with it. Attach before serving traffic.
+// and epoch logs across eviction, and hooks store eviction so an evicted
+// job's archive goes with it. Attach before serving traffic.
 func (p *Pool) SetTraceStore(ts *durable.TraceStore) {
 	p.traces = ts
 	p.store.SetOnEvict(func(id string) {
@@ -40,43 +40,26 @@ func (p *Pool) SetTraceStore(ts *durable.TraceStore) {
 	})
 }
 
-// TraceStore returns the attached trace archive (nil without a data
-// directory); the HTTP layer serves archived traces from it.
+// TraceStore returns the attached archive (nil without a data directory);
+// the HTTP layer serves evicted jobs' traces and epochs from it.
 func (p *Pool) TraceStore() *durable.TraceStore { return p.traces }
-
-// SetLearningStore attaches the archive that keeps finished jobs' learning
-// curves across eviction, alongside the trace archive, and hooks store
-// eviction so an evicted job's curve archive goes with it. Attach before
-// serving traffic.
-func (p *Pool) SetLearningStore(ls *durable.LearningStore) {
-	p.learning = ls
-	p.store.SetOnEvict(func(id string) {
-		if err := ls.Delete(id); err != nil {
-			p.log.Warn("evicted job's learning curves not deleted", "job", id, "err", err)
-		}
-	})
-}
-
-// LearningStore returns the attached learning-curve archive (nil without a
-// data directory); the HTTP layer serves archived curves from it.
-func (p *Pool) LearningStore() *durable.LearningStore { return p.learning }
 
 // armFlightRecorder builds the job's flight recorder and threads anomaly
 // detection into the simulation config (before planning, since cells capture
 // the config by value). Returns nil — which every FlightRecorder method
 // tolerates — when the recorder is not enabled.
-func (p *Pool) armFlightRecorder(cfg *experiments.Config, tracer *telemetry.Tracer, rec *telemetry.Recorder) *telemetry.FlightRecorder {
+func (p *Pool) armFlightRecorder(cfg *experiments.Config, tracer *telemetry.Tracer, epochs *telemetry.EpochLog) *telemetry.FlightRecorder {
 	if p.flightDir == "" {
 		return nil
 	}
-	flight := telemetry.NewFlightRecorder(p.flightDir, tracer, rec, p.reg)
+	flight := telemetry.NewFlightRecorder(p.flightDir, tracer, epochs, p.reg)
 	cfg.Run.Anomalies = flight
 	cfg.Run.TempCeilingC = p.tempCeilingC
 	return flight
 }
 
 // watchStall starts the job's stall watchdog, when the flight recorder is
-// armed. Progress is any movement of the decision-event total or the cell
+// armed. Progress is any movement of the epoch-log total or the cell
 // done/failed counts; a running job that moves neither for the full deadline
 // trips one stall alert (re-armed if progress later resumes). The watchdog
 // exits with the job's context, which the pool cancels at finalization.
@@ -101,7 +84,7 @@ func (p *Pool) watchStall(jr *jobRun) {
 				if !ok || job.State.Terminal() {
 					return
 				}
-				sig := jr.events.Total() +
+				sig := jr.epochs.Total() +
 					int64(job.Progress.DoneCells+job.Progress.FailedCells)<<32
 				if sig != lastSig {
 					lastSig, lastChange = sig, time.Now()
@@ -115,7 +98,7 @@ func (p *Pool) watchStall(jr *jobRun) {
 					jr.flight.Trip(telemetry.Anomaly{
 						Kind:   telemetry.AnomalyStall,
 						Job:    jr.id,
-						Detail: fmt.Sprintf("no decision-event or cell progress for %s", stalled),
+						Detail: fmt.Sprintf("no decision-epoch or cell progress for %s", stalled),
 					})
 				}
 			}
@@ -123,30 +106,13 @@ func (p *Pool) watchStall(jr *jobRun) {
 	}()
 }
 
-// archiveTrace persists a finalized job's span trace, when an archive is
-// attached.
-func (p *Pool) archiveTrace(jr *jobRun) {
-	if p.traces == nil || jr.tracer == nil {
+// archive persists a finalized job's span trace and epoch log, when an
+// archive is attached.
+func (p *Pool) archive(jr *jobRun) {
+	if p.traces == nil {
 		return
 	}
-	if err := p.traces.Save(jr.id, jr.tracer.Snapshot()); err != nil {
+	if err := p.traces.Save(jr.id, jr.tracer.Snapshot(), jr.epochs); err != nil {
 		p.log.Warn("trace not archived", "job", jr.id, "err", err)
-	}
-}
-
-// archiveLearning persists a finalized job's sampled learning curves, when an
-// archive is attached and the job sampled any (deterministic-only jobs whose
-// cells attach no learner archive nothing).
-func (p *Pool) archiveLearning(jr *jobRun) {
-	if p.learning == nil || jr.curves == nil || jr.curves.Len() == 0 {
-		return
-	}
-	data, err := jr.curves.MarshalJSONL()
-	if err != nil {
-		p.log.Warn("learning curves not serialized", "job", jr.id, "err", err)
-		return
-	}
-	if err := p.learning.Save(jr.id, data); err != nil {
-		p.log.Warn("learning curves not archived", "job", jr.id, "err", err)
 	}
 }

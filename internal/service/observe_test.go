@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -22,15 +23,16 @@ import (
 	"repro/internal/workload"
 )
 
-// emitterPlan builds a planner whose single cell records count decision
-// events into the job's recorder, then blocks on release (so tests control
+// emitterPlan builds a planner whose single cell appends count epoch
+// records to the job's epoch log, then blocks on release (so tests control
 // when the job completes).
 func emitterPlan(count int, release chan struct{}) Planner {
 	return func(cfg experiments.Config, _ string) ([]experiments.Cell, experiments.Assemble, error) {
-		rec := cfg.Run.Recorder
+		log := cfg.Run.Epochs
 		cell := experiments.Cell{Key: "emitter", Run: func(ctx context.Context) (any, error) {
+			run := log.Begin("proposed", "tachyon")
 			for i := 1; i <= count; i++ {
-				rec.Record(telemetry.DecisionEvent{
+				log.Append(run, telemetry.Epoch{
 					Epoch: i, TimeS: float64(i), State: i % 4, Action: i % 3,
 					Reward: 0.5, Kind: telemetry.EventDecision,
 				})
@@ -102,7 +104,7 @@ readLoop:
 			}
 			break readLoop
 		case strings.HasPrefix(line, "data: ") && epochs > 0 && !sawDoneEvent:
-			var ev telemetry.DecisionEvent
+			var ev telemetry.Epoch
 			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
 				t.Fatalf("epoch payload: %v", err)
 			}
@@ -343,9 +345,23 @@ func TestServerTraceEndpoint(t *testing.T) {
 	}
 
 	// A job known only to the durable archive (e.g. restored after a restart
-	// without a live tracer) is served from the archive fallback.
-	if err := traces.Save("job-999999", spans); err != nil {
+	// without a live tracer) is served from the archive fallback — its
+	// trace, and its epoch log rendered as /events and /learning.
+	_, liveEpochs, _ := store.Observers(job.ID)
+	if err := traces.Save("job-999999", spans, liveEpochs); err != nil {
 		t.Fatal(err)
+	}
+	for _, route := range []string{"events", "learning"} {
+		live := getBody(t, ts.URL+"/v1/jobs/"+job.ID+"/"+route)
+		archived := getBody(t, ts.URL+"/v1/jobs/job-999999/"+route)
+		if route == "learning" {
+			// Only the envelope's id and state differ.
+			live = strings.Replace(live, job.ID, "job-999999", 1)
+			live = strings.Replace(live, `"state": "done"`, `"state": "archived"`, 1)
+		}
+		if archived != live || !strings.Contains(archived, `"epoch"`) && route == "events" {
+			t.Errorf("archived /%s differs from the live rendering:\n%s\nvs\n%s", route, archived, live)
+		}
 	}
 	resp4, err := http.Get(ts.URL + "/v1/jobs/job-999999/trace?format=chrome")
 	if err != nil {
@@ -496,11 +512,10 @@ func TestTraceStoreEvictionHook(t *testing.T) {
 	}
 }
 
-// TestServerLiveResyncsAfterOverflow covers the Recorder.Since satellite: an
-// attached SSE client whose cursor goes stale while the bounded decision ring
-// overflows must resync at the oldest retained event — no panic, no
-// duplicated epochs — and still receive the done event.
-func TestServerLiveResyncsAfterOverflow(t *testing.T) {
+// TestServerLiveCatchesUpAfterLag: an attached SSE client that falls far
+// behind the job's epoch log receives every epoch it missed, once each and
+// in order, and still receives the done event — the log drops nothing.
+func TestServerLiveCatchesUpAfterLag(t *testing.T) {
 	store := NewStore(0)
 	pool := NewPool(store, 1)
 	srv := NewServer(store, pool)
@@ -508,17 +523,18 @@ func TestServerLiveResyncsAfterOverflow(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 
-	// Drive the store directly so the test controls the recorder capacity
-	// and exactly when the ring overflows relative to the client's drains.
+	// Drive the store directly so the test controls exactly when records
+	// land relative to the client's drains.
 	job := store.Create(Spec{Experiment: "suite", Quick: true}, 1)
-	rec := telemetry.NewRecorder(8)
-	store.BindRecorder(job.ID, rec)
+	log := telemetry.NewEpochLog()
+	run := log.Begin("proposed", "tachyon")
+	store.BindObservers(job.ID, telemetry.NewTracer(0), log)
 	if err := store.Start(job.ID); err != nil {
 		t.Fatal(err)
 	}
 	emit := func(from, to int) {
 		for i := from; i <= to; i++ {
-			rec.Record(telemetry.DecisionEvent{Epoch: i, Kind: telemetry.EventDecision})
+			log.Append(run, telemetry.Epoch{Epoch: i, Kind: telemetry.EventDecision})
 		}
 	}
 	emit(1, 4)
@@ -539,15 +555,14 @@ func TestServerLiveResyncsAfterOverflow(t *testing.T) {
 		case strings.HasPrefix(line, "event: "):
 			event = strings.TrimPrefix(line, "event: ")
 		case strings.HasPrefix(line, "data: ") && event == "epoch":
-			var ev telemetry.DecisionEvent
+			var ev telemetry.Epoch
 			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
 				t.Fatalf("epoch payload: %v", err)
 			}
 			epochs = append(epochs, ev.Epoch)
 			if ev.Epoch == 4 {
-				// Client is caught up at cursor 4; now blow past the ring
-				// capacity (8) so its cursor goes stale, give the poller a
-				// few ticks to drain the retained tail, then finish the job.
+				// Client is caught up at cursor 4; now append a burst
+				// between two of its polls, then finish the job.
 				go func() {
 					emit(5, 104)
 					time.Sleep(50 * time.Millisecond)
@@ -564,26 +579,30 @@ func TestServerLiveResyncsAfterOverflow(t *testing.T) {
 	if !sawDone {
 		t.Fatal("stream ended without a done event")
 	}
-	seen := make(map[int]bool)
+	if len(epochs) != 104 {
+		t.Fatalf("got %d epochs, want all 104", len(epochs))
+	}
 	for i, e := range epochs {
-		if seen[e] {
-			t.Fatalf("epoch %d delivered twice", e)
-		}
-		seen[e] = true
-		if i > 0 && e <= epochs[i-1] {
-			t.Fatalf("epochs out of order: %v", epochs)
+		if e != i+1 {
+			t.Fatalf("epoch %d delivered at position %d (got %v)", e, i, epochs)
 		}
 	}
-	for _, e := range []int{1, 2, 3, 4, 104} {
-		if !seen[e] {
-			t.Fatalf("epoch %d missing (got %v)", e, epochs)
-		}
+}
+
+// getBody GETs url, demanding 200, and returns the body.
+func getBody(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The resync point is the oldest retained event: 104 total recorded, ring
-	// keeps 8, so nothing between 5 and 96 may appear.
-	for e := range seen {
-		if e > 4 && e < 97 {
-			t.Fatalf("overwritten epoch %d was delivered; client did not resync (got %v)", e, epochs)
-		}
+	defer resp.Body.Close()
+	var sb strings.Builder
+	if _, err := io.Copy(&sb, resp.Body); err != nil {
+		t.Fatal(err)
 	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d: %s", url, resp.StatusCode, sb.String())
+	}
+	return sb.String()
 }

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -201,10 +200,7 @@ func (p *Pool) resume(job Job, rows []any, errs []error) {
 		fail(err)
 		return
 	}
-	rec := telemetry.NewRecorder(0)
-	cfg.Run.Recorder = rec
-	tracer := telemetry.NewTracer(0)
-	flight := p.armFlightRecorder(&cfg, tracer, rec)
+	jr := p.observe(&cfg)
 	cells, assemble, err := p.plan(cfg, job.Spec.Experiment)
 	if err != nil {
 		fail(fmt.Errorf("service: replan %s: %w", job.ID, err))
@@ -215,40 +211,11 @@ func (p *Pool) resume(job Job, rows []any, errs []error) {
 			job.ID, len(cells), job.Progress.TotalCells))
 		return
 	}
-	p.store.BindRecorder(job.ID, rec)
-	p.store.BindTracer(job.ID, tracer)
-	flight.SetJob(job.ID)
-	jctx, jcancel := context.WithCancel(p.ctx)
-	p.store.BindCancel(job.ID, jcancel)
-	jr := &jobRun{
-		id:          job.ID,
-		spec:        job.Spec,
-		ctx:         jctx,
-		cancel:      jcancel,
-		assemble:    assemble,
-		submittedAt: time.Now(),
-		tracer:      tracer,
-		events:      rec,
-		flight:      flight,
-		rows:        rows,
-		errs:        errs,
-	}
-	jr.jobSpan = tracer.Start(0, telemetry.KindJob, job.ID,
+	jr.rows, jr.errs = rows, errs
+	pending := p.launch(jr, job.ID, job.Spec, assemble, cells,
 		telemetry.Str("experiment", job.Spec.Experiment),
 		telemetry.Num("cells", float64(len(cells))),
 		telemetry.Str("resumed", "true"))
-	p.watchStall(jr)
-	var tasks []task
-	for i := range cells {
-		if rows[i] != nil || errs[i] != nil {
-			continue
-		}
-		tasks = append(tasks, task{jr: jr, idx: i, cell: cells[i]})
-	}
-	jr.remaining = len(tasks)
-	p.queued.Add(int64(len(tasks)))
-	p.feederWG.Add(1)
-	go p.feed(jr, tasks)
 	p.log.Info("job resumed from journal", "job", job.ID,
-		"recovered_cells", len(cells)-len(tasks), "pending_cells", len(tasks))
+		"recovered_cells", len(cells)-pending, "pending_cells", pending)
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -425,6 +426,77 @@ func TestCrashRestartResumesSuite(t *testing.T) {
 	}
 }
 
+// TestRecoveryResumedJobServesLearning: a fig45 job interrupted after its
+// Linux cell committed resumes from the journal with an epoch log of its
+// own, so the proposed run it re-runs reaches GET /learning (and /events).
+func TestRecoveryResumedJobServesLearning(t *testing.T) {
+	dir := t.TempDir()
+	j := openJournal(t, dir)
+	gate := &gateJournal{j: j}
+	store := NewStore(0)
+	store.SetJournal(gate)
+	pool := NewPool(store, 2)
+	// Hold the proposed cell until cancellation, like a cell caught
+	// mid-flight by a SIGKILL.
+	pool.plan = func(cfg experiments.Config, id string) ([]experiments.Cell, experiments.Assemble, error) {
+		cells, asm, err := experiments.Cells(cfg, id)
+		if err != nil {
+			return nil, nil, err
+		}
+		cells[1].Run = func(ctx context.Context) (any, error) {
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		return cells, asm, nil
+	}
+	pool.Start()
+	job, err := pool.Submit(Spec{Experiment: "fig45", Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(2 * time.Minute)
+	for {
+		if snap, _ := store.Get(job.ID); snap.Progress.DoneCells >= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("linux cell did not complete in time")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	gate.Cut()
+	pool.Stop()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	j2 := openJournal(t, dir)
+	defer j2.Close()
+	store2 := NewStore(0)
+	store2.SetJournal(j2)
+	pool2 := NewPool(store2, 2)
+	if restored, resumed := pool2.Recover(j2.Recovered()); restored != 0 || resumed != 1 {
+		t.Fatalf("recover: restored %d resumed %d, want 0/1", restored, resumed)
+	}
+	pool2.Start()
+	t.Cleanup(pool2.Stop)
+	ts := httptest.NewServer(NewServer(store2, pool2))
+	t.Cleanup(ts.Close)
+	if final := waitDone(t, pool2, job.ID); final.State != StateDone {
+		t.Fatalf("resumed job finished %s: %s", final.State, final.Error)
+	}
+	var lr learningResponse
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+job.ID+"/learning", nil, &lr); code != http.StatusOK {
+		t.Fatalf("learning of resumed job: status %d", code)
+	}
+	if len(lr.Runs) != 1 || lr.Runs[0].Policy != "proposed" || lr.Runs[0].Summary.Epochs == 0 {
+		t.Fatalf("resumed job's learning runs = %+v, want the proposed run", lr.Runs)
+	}
+	if body := getBody(t, ts.URL+"/v1/jobs/"+job.ID+"/events"); strings.Count(body, "\n") != lr.Runs[0].Summary.Epochs {
+		t.Errorf("resumed job's /events has %d lines, want %d", strings.Count(body, "\n"), lr.Runs[0].Summary.Epochs)
+	}
+}
+
 // trainedAgentJSON builds synthetic learned agent state (a non-zero Q-table)
 // serialized the way rl.Agent.Save writes it.
 func trainedAgentJSON(t *testing.T) []byte {
@@ -444,7 +516,7 @@ func trainedAgentJSON(t *testing.T) []byte {
 
 // TestCheckpointWarmStartRoundTrip is the warm-start e2e: agent state is
 // POSTed as a checkpoint, a warm_start submission resolves it, and the job's
-// decision-event trace proves the first epoch ran on the adopted table (a
+// epoch log proves the first epoch ran on the adopted table (a
 // warm_start event with a far smaller learning rate than a cold run).
 func TestCheckpointWarmStartRoundTrip(t *testing.T) {
 	ts, pool, _ := startServer(t, 2)
@@ -510,7 +582,7 @@ func TestCheckpointWarmStartRoundTrip(t *testing.T) {
 		}}
 		return []experiments.Cell{cell}, func(rows []any) any { return rows }, nil
 	}
-	firstEvent := func(spec Spec) telemetry.DecisionEvent {
+	firstEvent := func(spec Spec) telemetry.Epoch {
 		t.Helper()
 		var job Job
 		if code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", spec, &job); code != http.StatusAccepted {
@@ -530,7 +602,7 @@ func TestCheckpointWarmStartRoundTrip(t *testing.T) {
 		if len(lines) == 0 || lines[0] == "" {
 			t.Fatal("empty decision trace")
 		}
-		var first telemetry.DecisionEvent
+		var first telemetry.Epoch
 		if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
 			t.Fatalf("first event not JSON: %v (%q)", err, lines[0])
 		}

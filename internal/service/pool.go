@@ -14,7 +14,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/durable"
 	"repro/internal/experiments"
-	"repro/internal/rl"
 	"repro/internal/telemetry"
 )
 
@@ -68,13 +67,9 @@ type Pool struct {
 	// Q-table checkpoints.
 	checkpoints *durable.CheckpointStore
 
-	// traces, when attached, archives each finished job's span trace so it
-	// outlives the job's in-memory eviction.
+	// traces, when attached, archives each finished job's span trace and
+	// epoch log so they outlive the job's in-memory eviction.
 	traces *durable.TraceStore
-
-	// learning, when attached, archives each finished job's sampled learning
-	// curves (JSONL) next to the trace archive.
-	learning *durable.LearningStore
 
 	// Flight-recorder configuration (EnableFlightRecorder): anomaly dumps
 	// land in flightDir, temperatures above tempCeilingC trip thermal-runaway
@@ -101,16 +96,14 @@ type jobRun struct {
 	assemble experiments.Assemble
 	// submittedAt anchors the per-cell queue wait-time measurement.
 	submittedAt time.Time
-	// tracer collects the job's span hierarchy under jobSpan; events is the
-	// job's decision-event recorder (also the stall watchdog's progress
-	// signal); flight is the job's anomaly recorder (nil when disabled).
+	// tracer collects the job's span hierarchy under jobSpan; epochs is the
+	// job's epoch log, every route's per-epoch source (and the stall
+	// watchdog's progress signal); flight is the job's anomaly recorder (nil
+	// when disabled).
 	tracer  *telemetry.Tracer
 	jobSpan telemetry.SpanID
-	events  *telemetry.Recorder
+	epochs  *telemetry.EpochLog
 	flight  *telemetry.FlightRecorder
-	// curves collects every learning curve the job's cells sample; the
-	// learning endpoint serves it live and archiveLearning persists it.
-	curves *rl.CurveSet
 
 	mu        sync.Mutex
 	rows      []any
@@ -173,7 +166,10 @@ func (p *Pool) Registry() *telemetry.Registry { return p.reg }
 // JobTracer returns the live span tracer of job id (false once the job has
 // been evicted). The cluster coordinator uses it to merge span batches that
 // arrive detached from any active lease (flushes from drained workers).
-func (p *Pool) JobTracer(id string) (*telemetry.Tracer, bool) { return p.store.Tracer(id) }
+func (p *Pool) JobTracer(id string) (*telemetry.Tracer, bool) {
+	tr, _, ok := p.store.Observers(id)
+	return tr, ok
+}
 
 // Start launches the workers.
 func (p *Pool) Start() {
@@ -192,9 +188,9 @@ func (p *Pool) Stop() {
 }
 
 // Submit validates spec, plans its cells and enqueues them, returning the
-// pending job snapshot immediately. Every job gets a bounded decision-event
-// recorder threaded through the simulation config, so the RL controller's
-// per-epoch trace is queryable while and after the job runs.
+// pending job snapshot immediately. Every job gets an epoch log and a span
+// tracer threaded through the simulation config (observe), so its learners'
+// per-epoch records are queryable while and after the job runs.
 func (p *Pool) Submit(spec Spec) (Job, error) {
 	if err := spec.Validate(); err != nil {
 		return Job{}, err
@@ -206,60 +202,58 @@ func (p *Pool) Submit(spec Spec) (Job, error) {
 	if err := p.applyWarmStart(&cfg, spec.Experiment, spec.WarmStart); err != nil {
 		return Job{}, err
 	}
-	rec := telemetry.NewRecorder(0)
-	cfg.Run.Recorder = rec
-	tracer := telemetry.NewTracer(0)
-	flight := p.armFlightRecorder(&cfg, tracer, rec)
-	// Arm learning-curve collection before planning, since cells capture the
-	// config by value. Tournament cells deposit into cfg.LearningCurves with
-	// full cell coordinates; plain experiment cells sample through the run
-	// observer, which carries policy and workload names only.
-	curves := rl.NewCurveSet()
-	cfg.LearningCurves = curves
-	cfg.Run.LearningObserver = func(pol, wl string, s *rl.LearningSampler) {
-		curves.Add(rl.RunCurve{Policy: pol, Workload: wl, Points: s.Points(), Summary: s.Summary()})
-	}
+	jr := p.observe(&cfg)
 	cells, assemble, err := p.plan(cfg, spec.Experiment)
 	if err != nil {
 		return Job{}, err
 	}
 	job := p.store.Create(spec, len(cells))
-	p.store.BindRecorder(job.ID, rec)
-	p.store.BindTracer(job.ID, tracer)
-	p.store.BindLearning(job.ID, curves)
-	flight.SetJob(job.ID)
-	jctx, jcancel := context.WithCancel(p.ctx)
-	p.store.BindCancel(job.ID, jcancel)
-	jr := &jobRun{
-		id:          job.ID,
-		spec:        spec,
-		ctx:         jctx,
-		cancel:      jcancel,
-		assemble:    assemble,
-		submittedAt: time.Now(),
-		tracer:      tracer,
-		events:      rec,
-		flight:      flight,
-		curves:      curves,
-		rows:        make([]any, len(cells)),
-		errs:        make([]error, len(cells)),
-		remaining:   len(cells),
-	}
-	jr.jobSpan = tracer.Start(0, telemetry.KindJob, job.ID,
+	jr.rows = make([]any, len(cells))
+	jr.errs = make([]error, len(cells))
+	p.jobsSubmitted.Add(1)
+	p.launch(jr, job.ID, spec, assemble, cells,
 		telemetry.Str("experiment", spec.Experiment),
 		telemetry.Num("cells", float64(len(cells))),
 		telemetry.Bool("quick", spec.Quick))
+	p.log.Info("job submitted", "job", job.ID, "experiment", spec.Experiment, "cells", len(cells), "quick", spec.Quick, "warm_start", spec.WarmStart)
+	return job, nil
+}
+
+// observe arms a job's observers on cfg before planning, since cells capture
+// the config by value: the epoch log every learner's records land in, the
+// span tracer, and the flight recorder when enabled. Submit and journal
+// recovery both start here, so a resumed job is observed like a fresh one.
+func (p *Pool) observe(cfg *experiments.Config) *jobRun {
+	jr := &jobRun{epochs: telemetry.NewEpochLog(), tracer: telemetry.NewTracer(0)}
+	cfg.Run.Epochs = jr.epochs
+	jr.flight = p.armFlightRecorder(cfg, jr.tracer, jr.epochs)
+	return jr
+}
+
+// launch binds an observed job (observe) to its store record and feeds the
+// workers the cells that have neither a row nor an error in jr yet — all of
+// them for a fresh job, the unjournaled remainder for a resumed one. It
+// returns how many cells it enqueued; attrs annotate the job span.
+func (p *Pool) launch(jr *jobRun, id string, spec Spec, assemble experiments.Assemble, cells []experiments.Cell, attrs ...telemetry.Attr) int {
+	jr.id, jr.spec, jr.assemble = id, spec, assemble
+	jr.submittedAt = time.Now()
+	p.store.BindObservers(id, jr.tracer, jr.epochs)
+	jr.flight.SetJob(id)
+	jr.ctx, jr.cancel = context.WithCancel(p.ctx)
+	p.store.BindCancel(id, jr.cancel)
+	jr.jobSpan = jr.tracer.Start(0, telemetry.KindJob, id, attrs...)
 	p.watchStall(jr)
-	tasks := make([]task, len(cells))
+	var tasks []task
 	for i, cell := range cells {
-		tasks[i] = task{jr: jr, idx: i, cell: cell}
+		if jr.rows[i] == nil && jr.errs[i] == nil {
+			tasks = append(tasks, task{jr: jr, idx: i, cell: cell})
+		}
 	}
-	p.jobsSubmitted.Add(1)
+	jr.remaining = len(tasks)
 	p.queued.Add(int64(len(tasks)))
 	p.feederWG.Add(1)
 	go p.feed(jr, tasks)
-	p.log.Info("job submitted", "job", job.ID, "experiment", spec.Experiment, "cells", len(cells), "quick", spec.Quick, "warm_start", spec.WarmStart)
-	return job, nil
+	return len(tasks)
 }
 
 // Wait blocks until job id reaches a terminal state (returning its final
@@ -420,10 +414,9 @@ func (p *Pool) finalize(jr *jobRun) {
 	err := errors.Join(jr.errs...)
 	cancelled := jr.ctx.Err() != nil
 	// Archive before Finish releases the job's waiters, so a client that
-	// sees the job terminal also finds its trace and curves archived.
+	// sees the job terminal also finds its trace and epochs archived.
 	jr.tracer.End(jr.jobSpan, telemetry.Str("state", string(p.store.Outcome(jr.id, err, cancelled))))
-	p.archiveTrace(jr)
-	p.archiveLearning(jr)
+	p.archive(jr)
 	p.store.Finish(jr.id, rows, err, cancelled)
 	if job, ok := p.store.Get(jr.id); ok {
 		p.log.Info("job finished", "job", jr.id, "state", string(job.State),

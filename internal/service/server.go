@@ -13,7 +13,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/durable"
 	"repro/internal/policy"
-	"repro/internal/rl"
 	"repro/internal/telemetry"
 )
 
@@ -25,8 +24,8 @@ import (
 //	GET    /v1/jobs/{id}        status and progress
 //	GET    /v1/jobs/{id}/result assembled rows of a finished job
 //	GET    /v1/jobs/{id}/leaderboard tournament leaderboard (?format=csv)
-//	GET    /v1/jobs/{id}/events RL decision-event trace as JSONL
-//	GET    /v1/jobs/{id}/live   live SSE stream of decision epochs
+//	GET    /v1/jobs/{id}/events decision-epoch records as JSONL
+//	GET    /v1/jobs/{id}/live   live SSE stream of decision-epoch records
 //	GET    /v1/jobs/{id}/trace  span trace (?format=chrome|jsonl)
 //	GET    /v1/jobs/{id}/learning learning curves: per-run convergence
 //	                              summaries as JSON, full per-epoch curves
@@ -306,32 +305,26 @@ func (s *Server) handleLeaderboard(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleEvents streams the job's RL decision trace as JSONL (one event per
-// line), readable while the job is still running. Jobs whose cells run no
-// RL controller produce an empty body.
+// handleEvents renders the job's epoch log as JSONL (one telemetry.Epoch per
+// line, grouped by run), readable while the job is still running and, from
+// the archive, after it was evicted. Jobs whose cells run no learner
+// produce an empty body.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	rec, ok := s.store.EventsRecorder(id)
+	obs, ok := s.observations(w, r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %s", id)
-		return
-	}
-	if rec == nil {
-		writeError(w, http.StatusNotFound, "job %s has no decision-event recorder", id)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	// The write only fails when the client went away; nothing left to do.
-	_ = rec.WriteJSONL(w)
+	_ = obs.epochs.WriteEvents(w)
 }
 
-// handleLearning serves a job's sampled learning curves. The default JSON
-// body carries each sampled run's coordinates and convergence summary; the
-// full per-epoch curves stream as JSONL (one rl.RunCurve per line) with
-// ?format=jsonl. Live and recently finished jobs serve from the in-memory
-// curve set; evicted jobs fall back to the durable archive (-data-dir), the
-// same live-vs-archive split as the trace endpoint. Jobs whose cells run no
-// learner report zero runs.
+// handleLearning renders the learning curves of the job's finished runs from
+// its epoch log. The default JSON body carries each run's coordinates and
+// convergence summary; the full per-epoch curves stream as JSONL (one
+// telemetry.EpochRun per line) with ?format=jsonl. Evicted jobs render from
+// the archive (-data-dir), like every observability route. Jobs whose cells
+// run no learner report zero runs.
 func (s *Server) handleLearning(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	format := r.URL.Query().Get("format")
@@ -342,49 +335,32 @@ func (s *Server) handleLearning(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "unknown learning format %q (want json or jsonl)", format)
 		return
 	}
-	var curves *rl.CurveSet
-	cs, ok := s.store.Learning(id)
-	switch {
-	case ok && cs != nil:
-		curves = cs
-	default:
-		ls := s.pool.LearningStore()
-		if ls == nil {
-			writeError(w, http.StatusNotFound, "unknown job %s", id)
-			return
-		}
-		data, err := ls.Load(id)
-		if errors.Is(err, durable.ErrNoLearning) {
-			writeError(w, http.StatusNotFound, "no learning curves for job %s", id)
-			return
-		}
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "load learning curves: %v", err)
-			return
-		}
-		if curves, err = rl.DecodeCurvesJSONL(data); err != nil {
-			writeError(w, http.StatusInternalServerError, "decode learning curves: %v", err)
-			return
-		}
-	}
-	if format == "jsonl" {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		_ = curves.WriteJSONL(w) //nolint:errcheck // client gone; nothing left to do
+	obs, ok := s.observations(w, id)
+	if !ok {
 		return
 	}
-	runs := curves.Curves()
+	if obs.epochs == nil {
+		writeError(w, http.StatusNotFound, "no learning curves for job %s", id)
+		return
+	}
+	runs := obs.epochs.Finished()
+	if format == "jsonl" {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		_ = telemetry.WriteRuns(w, runs) //nolint:errcheck // client gone; nothing left to do
+		return
+	}
 	type runSummary struct {
-		Policy   string          `json:"policy"`
-		Workload string          `json:"workload"`
-		Seed     int64           `json:"seed,omitempty"`
-		Repeat   int             `json:"repeat,omitempty"`
-		Summary  rl.CurveSummary `json:"summary"`
+		Policy   string               `json:"policy"`
+		Workload string               `json:"workload"`
+		Seed     int64                `json:"seed,omitempty"`
+		Repeat   int                  `json:"repeat,omitempty"`
+		Summary  telemetry.RunSummary `json:"summary"`
 	}
 	summaries := make([]runSummary, len(runs))
 	for i, rc := range runs {
 		summaries[i] = runSummary{
 			Policy: rc.Policy, Workload: rc.Workload,
-			Seed: rc.Seed, Repeat: rc.Repeat, Summary: rc.Summary,
+			Seed: rc.Seed, Repeat: rc.Repeat, Summary: *rc.Summary,
 		}
 	}
 	state := "archived"

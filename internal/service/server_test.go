@@ -243,15 +243,15 @@ func TestServerMetrics(t *testing.T) {
 	}
 }
 
-// TestServerEvents exercises the full recorder threading the ISSUE's
-// acceptance criterion describes: a submitted job whose cell runs the RL
-// controller over a two-application workload must yield a JSONL trace on
-// GET /v1/jobs/{id}/events containing a q_reset event at the app switch.
+// TestServerEvents exercises the full epoch-log threading: a submitted job
+// whose cell runs the RL controller over a two-application workload must
+// yield JSONL records on GET /v1/jobs/{id}/events containing a q_reset
+// event at the app switch.
 func TestServerEvents(t *testing.T) {
 	ts, pool, _ := startServer(t, 1)
-	// The planner receives the job's config with the recorder already bound
-	// to cfg.Run.Recorder; running sim.Run with that config validates the
-	// whole chain: Submit → RunConfig → RecorderAttacher → core.Controller.
+	// The planner receives the job's config with the epoch log already bound
+	// to cfg.Run.Epochs; running sim.Run with that config validates the
+	// whole chain: Submit → RunConfig → EpochAttacher → core.Controller.
 	pool.plan = func(cfg experiments.Config, _ string) ([]experiments.Cell, experiments.Assemble, error) {
 		run := cfg.Run
 		cell := experiments.Cell{Key: "two-app", Run: func(context.Context) (any, error) {
@@ -295,7 +295,7 @@ func TestServerEvents(t *testing.T) {
 	}
 	resets := 0
 	for i, line := range lines {
-		var ev telemetry.DecisionEvent
+		var ev telemetry.Epoch
 		if err := json.Unmarshal([]byte(line), &ev); err != nil {
 			t.Fatalf("events line %d not valid JSON: %v (%q)", i, err, line)
 		}

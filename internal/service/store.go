@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/durable"
-	"repro/internal/rl"
 	"repro/internal/telemetry"
 )
 
@@ -29,15 +28,10 @@ type record struct {
 	// cancelRequested remembers a DELETE while the job was still running,
 	// so the finalizer lands on cancelled rather than failed.
 	cancelRequested bool
-	// events is the job's bounded decision-event recorder; bound by the
-	// pool at submission, drained by the events endpoint.
-	events *telemetry.Recorder
-	// tracer is the job's span tracer; bound by the pool at submission,
-	// exported by the trace endpoint.
+	// tracer and epochs are the job's span tracer and epoch log; bound by
+	// the pool at submission, rendered by the observability endpoints.
 	tracer *telemetry.Tracer
-	// learning is the job's learning-curve set; bound by the pool at
-	// submission, exported by the learning endpoint.
-	learning *rl.CurveSet
+	epochs *telemetry.EpochLog
 	// done is closed on the transition into a terminal state.
 	done chan struct{}
 }
@@ -55,9 +49,8 @@ type Store struct {
 	// transition (submit, cell outcome, cancel request, finish, evict).
 	journal Journal
 	// onEvict hooks observe each evicted job ID (the pool uses them to drop
-	// the job's archived trace and learning curves alongside the in-memory
-	// state). Called with s.mu held, so hooks must not call back into the
-	// store.
+	// the job's archive alongside the in-memory state). Called with s.mu
+	// held, so hooks must not call back into the store.
 	onEvict []func(id string)
 	log     *slog.Logger
 }
@@ -219,55 +212,25 @@ func (s *Store) BindCancel(id string, cancel context.CancelFunc) {
 	}
 }
 
-// BindRecorder attaches the job's decision-event recorder.
-func (s *Store) BindRecorder(id string, events *telemetry.Recorder) {
+// BindObservers attaches the job's span tracer and epoch log.
+func (s *Store) BindObservers(id string, tracer *telemetry.Tracer, epochs *telemetry.EpochLog) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if rec, ok := s.jobs[id]; ok {
-		rec.events = events
+		rec.tracer, rec.epochs = tracer, epochs
 	}
 }
 
-// BindTracer attaches the job's span tracer.
-func (s *Store) BindTracer(id string, tracer *telemetry.Tracer) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if rec, ok := s.jobs[id]; ok {
-		rec.tracer = tracer
-	}
-}
-
-// BindLearning attaches the job's learning-curve set.
-func (s *Store) BindLearning(id string, curves *rl.CurveSet) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if rec, ok := s.jobs[id]; ok {
-		rec.learning = curves
-	}
-}
-
-// Learning returns the job's learning-curve set (nil when none was bound;
-// the set itself is safe to snapshot while the job runs).
-func (s *Store) Learning(id string) (*rl.CurveSet, bool) {
+// Observers returns the job's span tracer and epoch log (nil when none were
+// bound; both are safe to read while the job runs).
+func (s *Store) Observers(id string) (*telemetry.Tracer, *telemetry.EpochLog, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rec, ok := s.jobs[id]
 	if !ok {
-		return nil, false
+		return nil, nil, false
 	}
-	return rec.learning, true
-}
-
-// Tracer returns the job's span tracer (nil when none was bound; the tracer
-// itself is safe to snapshot while the job runs).
-func (s *Store) Tracer(id string) (*telemetry.Tracer, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec, ok := s.jobs[id]
-	if !ok {
-		return nil, false
-	}
-	return rec.tracer, true
+	return rec.tracer, rec.epochs, true
 }
 
 // SetOnEvict installs a hook observing evicted job IDs; repeated calls append
@@ -277,18 +240,6 @@ func (s *Store) SetOnEvict(fn func(id string)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.onEvict = append(s.onEvict, fn)
-}
-
-// EventsRecorder returns the job's decision-event recorder (nil when none
-// was bound; the recorder itself is safe to read while the job runs).
-func (s *Store) EventsRecorder(id string) (*telemetry.Recorder, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec, ok := s.jobs[id]
-	if !ok {
-		return nil, false
-	}
-	return rec.events, true
 }
 
 // Start transitions pending → running. It fails on jobs already cancelled,

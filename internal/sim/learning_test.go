@@ -7,44 +7,43 @@ import (
 	"testing"
 
 	"repro/internal/governor"
-	"repro/internal/rl"
+	"repro/internal/telemetry"
 )
 
-// runLearning runs lightApp under the given policy with learning-curve
-// sampling armed and returns the result plus the finalized sampler (nil if
-// the policy never attached one).
-func runLearning(t *testing.T, cfg RunConfig, pol Policy) (*Result, *rl.LearningSampler) {
+// runLearning runs lightApp under the given policy with an epoch log armed
+// and returns the result plus the run as logged (nil if the policy emits no
+// records).
+func runLearning(t *testing.T, cfg RunConfig, pol Policy) (*Result, *telemetry.EpochRun) {
 	t.Helper()
-	var got *rl.LearningSampler
-	cfg.LearningObserver = func(policy, workload string, s *rl.LearningSampler) {
-		if policy != pol.Name() {
-			t.Errorf("observer saw policy %q, want %q", policy, pol.Name())
-		}
-		got = s
-	}
+	cfg.Epochs = telemetry.NewEpochLog()
 	res, err := Run(cfg, lightApp(), pol)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, got
+	if res.Epochs != nil && res.Epochs.Policy != pol.Name() {
+		t.Errorf("run filed under policy %q, want %q", res.Epochs.Policy, pol.Name())
+	}
+	return res, res.Epochs
 }
 
-// TestLearningSamplerCapturesCurve: arming the observer on the proposed
-// policy yields a non-empty curve whose per-core damage attribution matches
-// the run's own CoreCyclingStress exactly — every closed thermal cycle is
-// charged to some decision.
+// TestLearningSamplerCapturesCurve: logging the proposed policy's epochs
+// yields a non-empty curve whose per-core damage attribution matches the
+// run's own CoreCyclingStress exactly — every closed thermal cycle is
+// charged to some decision — and whose per-record damage accounts for all
+// of it but the tail closed after the last epoch, charged to the last
+// action.
 func TestLearningSamplerCapturesCurve(t *testing.T) {
 	cfg := DefaultRunConfig()
 	cfg.DiscardTrace = true
 	res, s := runLearning(t, cfg, &ProposedPolicy{})
-	if s == nil {
-		t.Fatal("proposed policy did not attach a learning sampler")
+	if s == nil || s.Summary == nil {
+		t.Fatal("proposed policy logged no finished run")
 	}
-	pts := s.Points()
+	pts := s.Points
 	if len(pts) == 0 {
-		t.Fatal("sampler recorded no epochs")
+		t.Fatal("log recorded no epochs")
 	}
-	sum := s.Summary()
+	sum := *s.Summary
 	if sum.Epochs != len(pts) {
 		t.Errorf("summary epochs %d != %d points", sum.Epochs, len(pts))
 	}
@@ -77,11 +76,35 @@ func TestLearningSamplerCapturesCurve(t *testing.T) {
 		t.Errorf("per-action damage %v does not account for per-core total %v",
 			attributed, total)
 	}
+	// Record k's damage closed while record k-1's action was in force; the
+	// tail closed after the last epoch, under the last action.
+	var stamped float64
+	actions := map[int]float64{}
+	for k, e := range pts {
+		stamped += e.Damage
+		if k > 0 {
+			actions[pts[k-1].Action] += e.Damage
+		}
+	}
+	tail := total - stamped
+	if tail < -1e-9*math.Max(1, total) {
+		t.Fatalf("records carry %v damage, more than the per-core total %v", stamped, total)
+	}
+	actions[pts[len(pts)-1].Action] += tail
+	for a, d := range actions {
+		var want float64
+		if a < len(sum.ActionDamage) {
+			want = sum.ActionDamage[a]
+		}
+		if math.Abs(d-want) > 1e-9*math.Max(1, total) {
+			t.Errorf("action %d: records plus tail give %v, summary %v", a, d, want)
+		}
+	}
 }
 
 // TestLearningSamplingIsObservationOnly pins the bit-identity guarantee:
-// the same seed-fixed run with and without the observer produces identical
-// results (sampling must not perturb the policy's RNG or the metric
+// the same seed-fixed run with and without an epoch log produces identical
+// results (observing must not perturb the policy's RNG or the metric
 // pipeline), in both the retained-trace and streaming paths.
 func TestLearningSamplingIsObservationOnly(t *testing.T) {
 	for _, discard := range []bool{false, true} {
@@ -93,7 +116,7 @@ func TestLearningSamplingIsObservationOnly(t *testing.T) {
 		}
 		sampled, s := runLearning(t, cfg, &ProposedPolicy{})
 		if s == nil {
-			t.Fatal("sampler not attached")
+			t.Fatal("no run logged")
 		}
 		// Traces are pointers; compare everything else bit-for-bit via
 		// the JSON encoding (shortest-form float64 is exact).
@@ -125,26 +148,25 @@ func TestLearningStressIdenticalAcrossTracePaths(t *testing.T) {
 		t.Errorf("damage shares differ across trace paths:\n%v\n%v",
 			r1.CoreDamageShare, r2.CoreDamageShare)
 	}
-	if !reflect.DeepEqual(s1.Summary().CoreDamage, s2.Summary().CoreDamage) {
+	if !reflect.DeepEqual(s1.Summary.CoreDamage, s2.Summary.CoreDamage) {
 		t.Errorf("attributed damage differs across trace paths:\n%v\n%v",
-			s1.Summary().CoreDamage, s2.Summary().CoreDamage)
+			s1.Summary.CoreDamage, s2.Summary.CoreDamage)
 	}
 }
 
 // TestLearningObserverSkipsNonLearners: a policy without a learning agent
-// never reaches the observer, but its result still carries the per-core
-// damage surface.
+// files no run in the epoch log that observes learning, but its result
+// still carries the per-core damage surface.
 func TestLearningObserverSkipsNonLearners(t *testing.T) {
 	cfg := DefaultRunConfig()
 	cfg.DiscardTrace = true
-	called := false
-	cfg.LearningObserver = func(string, string, *rl.LearningSampler) { called = true }
+	cfg.Epochs = telemetry.NewEpochLog()
 	res, err := Run(cfg, lightApp(), LinuxPolicy{Kind: governor.Ondemand})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if called {
-		t.Error("observer fired for a non-learning policy")
+	if res.Epochs != nil || len(cfg.Epochs.Runs()) != 0 {
+		t.Error("a non-learning policy filed a run")
 	}
 	if len(res.CoreCyclingStress) == 0 || len(res.CoreDamageShare) == 0 {
 		t.Error("baseline run missing per-core damage surface")

@@ -96,10 +96,13 @@ type windowAgg struct {
 	samples int
 	sumT    []float64
 	sumP    []float64
-	peakC   float64
-	prevT   []float64
-	rising  []bool
-	flips   int
+	// keys are the per-core attribute keys (core<i>_mean_c, core<i>_mean_w
+	// pairs), formatted once per run rather than once per window.
+	keys   []string
+	peakC  float64
+	prevT  []float64
+	rising []bool
+	flips  int
 }
 
 // newWindowAgg returns nil when tracing is off or the window width is
@@ -123,6 +126,9 @@ func (w *windowAgg) sample(timeS float64, temps, power []float64) {
 			w.sumP = make([]float64, len(power))
 			w.prevT = make([]float64, len(temps))
 			w.rising = make([]bool, len(temps))
+			for i := range temps {
+				w.keys = append(w.keys, fmt.Sprintf("core%d_mean_c", i), fmt.Sprintf("core%d_mean_w", i))
+			}
 		} else {
 			for i := range w.sumT {
 				w.sumT[i], w.sumP[i] = 0, 0
@@ -172,8 +178,8 @@ func (w *windowAgg) emit(endS float64) {
 		telemetry.Num("temp_flips", float64(w.flips)))
 	for i := range w.sumT {
 		attrs = append(attrs,
-			telemetry.Num(fmt.Sprintf("core%d_mean_c", i), w.sumT[i]/n),
-			telemetry.Num(fmt.Sprintf("core%d_mean_w", i), w.sumP[i]/n))
+			telemetry.Num(w.keys[2*i], w.sumT[i]/n),
+			telemetry.Num(w.keys[2*i+1], w.sumP[i]/n))
 	}
 	w.tracer.Record(w.parent, telemetry.KindWindow,
 		fmt.Sprintf("window %d", w.index),

@@ -8,7 +8,6 @@ import (
 	"repro/internal/governor"
 	"repro/internal/platform"
 	"repro/internal/rl"
-	"repro/internal/telemetry"
 )
 
 // LinuxPolicy runs the platform under a plain cpufreq governor with default
@@ -84,14 +83,8 @@ func (g *GePolicy) Controller() *baseline.Controller { return g.ctl }
 type ProposedPolicy struct {
 	// Config for the controller; zero value means core.DefaultConfig.
 	Config *core.Config
-	// History enables per-epoch recording on the controller.
-	History bool
 
-	ctl       *core.Controller
-	rec       *telemetry.Recorder
-	tracer    *telemetry.Tracer
-	traceSpan telemetry.SpanID
-	curve     *rl.LearningSampler
+	ctl *core.Controller
 }
 
 // Name returns "proposed".
@@ -107,48 +100,13 @@ func (pp *ProposedPolicy) Attach(p *platform.Platform) error {
 	if err != nil {
 		return err
 	}
-	ctl.RecordHistory(pp.History)
-	if pp.rec != nil {
-		ctl.AttachRecorder(pp.rec)
-	}
-	if pp.tracer != nil {
-		ctl.AttachTracer(pp.tracer, pp.traceSpan)
-	}
-	if pp.curve != nil {
-		ctl.AttachLearningSampler(pp.curve)
-	}
 	pp.ctl = ctl
 	return nil
 }
 
-// AttachRecorder streams the controller's per-epoch decision events into r.
-// Safe to call before or after Attach.
-func (pp *ProposedPolicy) AttachRecorder(r *telemetry.Recorder) {
-	pp.rec = r
-	if pp.ctl != nil {
-		pp.ctl.AttachRecorder(r)
-	}
-}
-
-// AttachTracer makes the controller emit one epoch span per decision epoch
-// under runSpan, implementing sim.TracerAttacher. Safe to call before or
-// after Attach.
-func (pp *ProposedPolicy) AttachTracer(t *telemetry.Tracer, runSpan telemetry.SpanID) {
-	pp.tracer, pp.traceSpan = t, runSpan
-	if pp.ctl != nil {
-		pp.ctl.AttachTracer(t, runSpan)
-	}
-}
-
-// AttachLearningSampler enables per-epoch learning-curve sampling on the
-// controller, implementing sim.LearningAttacher. Safe to call before or
-// after Attach.
-func (pp *ProposedPolicy) AttachLearningSampler(s *rl.LearningSampler) {
-	pp.curve = s
-	if pp.ctl != nil {
-		pp.ctl.AttachLearningSampler(s)
-	}
-}
+// AttachEpochHook hands the controller's per-epoch records to h,
+// implementing EpochAttacher; call after Attach.
+func (pp *ProposedPolicy) AttachEpochHook(h *rl.EpochHook) { pp.ctl.AttachEpochHook(h) }
 
 // CurrentDecision forwards the controller's live decision (epoch, action),
 // implementing sim.DecisionInfoProvider for damage attribution.

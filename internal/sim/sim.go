@@ -6,7 +6,9 @@
 package sim
 
 import (
+	"context"
 	"fmt"
+	"log/slog"
 	"math"
 
 	"repro/internal/platform"
@@ -54,24 +56,21 @@ type RunConfig struct {
 	// MTTF computation.
 	Cycling reliability.CyclingParams
 	Aging   reliability.AgingParams
-	// Recorder, when non-nil, is attached to policies that support decision
-	// tracing (the RL controller), collecting one event per decision epoch
-	// into a bounded ring buffer.
-	Recorder *telemetry.Recorder
+	// Epochs, when non-nil, is the log the decision epochs of every learning
+	// policy (EpochAttacher) are filed in, one run per Run call. With a log
+	// or a Tracer set, Run attaches an rl.EpochHook to such a policy: each
+	// record is stamped with the thermal-cycling damage attributed since the
+	// previous epoch (when the policy reports its live decision,
+	// DecisionInfoProvider), rendered as an epoch span under the run span,
+	// folded into the run summary and appended to the log; Result.Epochs
+	// returns the run. Observing never touches a policy's action-selection
+	// RNG, so every other result field stays bit-identical. Nil (with no
+	// Tracer) costs nothing.
+	Epochs *telemetry.EpochLog
 	// AgentObserver, when non-nil, is called with the learning agent after a
 	// run completes, for policies that expose one (the RL controller). The
 	// thermsim -save-agent flag uses it to persist what the run learned.
 	AgentObserver func(*rl.Agent)
-	// LearningObserver, when non-nil, arms learning-curve sampling on
-	// policies that support it (LearningAttacher): a fresh sampler is
-	// attached before the run, finalized after it, and handed to the
-	// observer with the policy and workload names. When the policy also
-	// reports its live decision (DecisionInfoProvider), closing thermal
-	// cycles are attributed to the decision epoch and action in force.
-	// Sampling is observation-only — it never touches a policy's
-	// action-selection RNG — so enabling it leaves every other result field
-	// bit-identical. Nil disables sampling with zero overhead.
-	LearningObserver func(policy, workload string, s *rl.LearningSampler)
 	// Tracer, when non-nil, collects hierarchical run/window/epoch spans;
 	// TraceParent is the span the run span nests under (0 for a root span).
 	// A nil Tracer disables tracing with zero overhead on the step loop.
@@ -140,12 +139,10 @@ type Result struct {
 	Migrations int64
 	// AppSwitches counts application switches observed by the platform.
 	AppSwitches int
-}
-
-// RecorderAttacher is implemented by policies that can stream per-epoch
-// decision events into a telemetry recorder (the proposed RL controller).
-type RecorderAttacher interface {
-	AttachRecorder(*telemetry.Recorder)
+	// Epochs is the run as filed in RunConfig.Epochs — its decision-epoch
+	// records and summary — when the policy emits records (nil otherwise). It
+	// stays out of serialized rows.
+	Epochs *telemetry.EpochRun `json:"-"`
 }
 
 // AgentProvider is implemented by policies backed by a learning agent (the
@@ -154,17 +151,12 @@ type AgentProvider interface {
 	LearningAgent() *rl.Agent
 }
 
-// TracerAttacher is implemented by policies that can emit per-epoch spans
-// under the run span (the proposed RL controller).
-type TracerAttacher interface {
-	AttachTracer(t *telemetry.Tracer, runSpan telemetry.SpanID)
-}
-
-// LearningAttacher is implemented by policies that can drive a per-epoch
-// learning-curve sampler (the live Q-table learners; frozen policies like the
-// distilled table have no curve to sample).
-type LearningAttacher interface {
-	AttachLearningSampler(*rl.LearningSampler)
+// EpochAttacher is implemented by policies that emit one telemetry.Epoch
+// record per decision epoch through an rl.EpochHook (the live Q-table
+// learners; frozen policies like the distilled table have no learning to
+// record).
+type EpochAttacher interface {
+	AttachEpochHook(*rl.EpochHook)
 }
 
 // DecisionInfoProvider is implemented by policies that can report which
@@ -198,21 +190,14 @@ func Run(cfg RunConfig, work workload.Workload, policy Policy) (*Result, error) 
 	if err := policy.Attach(p); err != nil {
 		return fail(fmt.Errorf("sim: attach %s: %w", policy.Name(), err))
 	}
-	if cfg.Recorder != nil {
-		if ra, ok := policy.(RecorderAttacher); ok {
-			ra.AttachRecorder(cfg.Recorder)
-		}
-	}
-	if cfg.Tracer != nil {
-		if ta, ok := policy.(TracerAttacher); ok {
-			ta.AttachTracer(cfg.Tracer, runSpan)
-		}
-	}
-	var learn *rl.LearningSampler
-	if cfg.LearningObserver != nil {
-		if la, ok := policy.(LearningAttacher); ok {
-			learn = rl.NewLearningSampler(0)
-			la.AttachLearningSampler(learn)
+	var hook *rl.EpochHook
+	var run *telemetry.EpochRun
+	if ea, ok := policy.(EpochAttacher); ok {
+		debug := slog.Default().Enabled(context.Background(), slog.LevelDebug)
+		if cfg.Epochs != nil || cfg.Tracer != nil || debug {
+			run = cfg.Epochs.Begin(policy.Name(), work.Name())
+			hook = rl.NewEpochHook(0, epochSink(cfg, run, runSpan, debug))
+			ea.AttachEpochHook(hook)
 		}
 	}
 	guard := newRunGuard(cfg, policy.Name()+"/"+work.Name())
@@ -220,7 +205,7 @@ func Run(cfg RunConfig, work workload.Workload, policy Policy) (*Result, error) 
 	var mt, pt *trace.MultiTrace
 	var sc *scalarCollector
 	// at is an attribution-only streaming feed used when the trace is
-	// retained (sc == nil) but a sampler wants per-cycle damage attribution.
+	// retained (sc == nil) but a hook wants per-cycle damage attribution.
 	var at *scalarCollector
 	if cfg.DiscardTrace {
 		sc = newScalarCollector(cfg, p.NumCores())
@@ -232,20 +217,20 @@ func Run(cfg RunConfig, work workload.Workload, policy Policy) (*Result, error) 
 		capacity := traceCapacity(cfg, work)
 		mt = trace.NewMultiTraceCap(p.NumCores(), cfg.RecordIntervalS, capacity)
 		pt = trace.NewMultiTraceCap(p.NumCores(), cfg.RecordIntervalS, capacity)
-		if learn != nil {
+		if hook != nil {
 			if _, ok := policy.(DecisionInfoProvider); ok {
 				at = newScalarCollector(cfg, p.NumCores())
 			}
 		}
 	}
-	if learn != nil {
+	if hook != nil {
 		if dp, ok := policy.(DecisionInfoProvider); ok {
 			feed := sc
 			if feed == nil {
 				feed = at
 			}
 			if feed != nil {
-				armAttribution(feed.accs, dp, learn)
+				armAttribution(feed.accs, dp, hook)
 			}
 		}
 	}
@@ -297,9 +282,10 @@ func Run(cfg RunConfig, work workload.Workload, policy Policy) (*Result, error) 
 		at.drain(cfg)
 	}
 	res := collect(cfg, p, mt, pt, sc, policy.Name(), work.Name())
-	if learn != nil {
-		learn.Finalize()
-		cfg.LearningObserver(policy.Name(), work.Name(), learn)
+	if hook != nil {
+		hook.Finalize()
+		cfg.Epochs.Finish(run, hook.Summary())
+		res.Epochs = run
 	}
 	if guard != nil {
 		guard.finals(res)
@@ -536,17 +522,43 @@ func (sc *scalarCollector) drain(cfg RunConfig) {
 	}
 }
 
-// armAttribution points every core accumulator's cycle hook at the sampler,
-// pinning each closing cycle's stress delta to the decision in force.
-func armAttribution(accs []*reliability.MTTFAccumulator, dp DecisionInfoProvider, learn *rl.LearningSampler) {
+// armAttribution points every core accumulator's cycle hook at the epoch
+// hook, pinning each closing cycle's stress delta to the decision in force.
+func armAttribution(accs []*reliability.MTTFAccumulator, dp DecisionInfoProvider, hook *rl.EpochHook) {
 	for c := range accs {
 		core := c
 		accs[core].SetOnCycle(func(_ reliability.Cycle, stressDelta float64) {
 			if stressDelta > 0 {
 				_, action := dp.CurrentDecision()
-				learn.ObserveCycleDamage(core, action, stressDelta)
+				hook.ObserveCycleDamage(core, action, stressDelta)
 			}
 		})
+	}
+}
+
+// epochSink renders each completed record of run: an epoch span under the
+// run span, whose wall-clock extent starts where the previous epoch's ended
+// so epochs partition the run span; a debug log line when debug logging is
+// on; and the record's place in the log.
+func epochSink(cfg RunConfig, run *telemetry.EpochRun, runSpan telemetry.SpanID, debug bool) func(telemetry.Epoch) {
+	tr := cfg.Tracer
+	wallUS := tr.Now()
+	var log *slog.Logger
+	if debug {
+		log = telemetry.Component("core")
+	}
+	return func(e telemetry.Epoch) {
+		if tr != nil {
+			now := tr.Now()
+			tr.Record(runSpan, telemetry.KindEpoch, fmt.Sprintf("epoch %d", e.Epoch), wallUS, now-wallUS, e.SpanAttrs()...)
+			wallUS = now
+		}
+		if log != nil {
+			log.Debug("epoch", "epoch", e.Epoch, "t", e.TimeS, "workload", e.Workload,
+				"state", e.State, "action", e.Action, "reward", e.Reward,
+				"alpha", e.Alpha, "phase", e.Phase, "event", e.Kind)
+		}
+		cfg.Epochs.Append(run, e)
 	}
 }
 

@@ -98,7 +98,7 @@ func TestGePolicyLifecycle(t *testing.T) {
 }
 
 func TestProposedPolicyLifecycle(t *testing.T) {
-	pp := &ProposedPolicy{History: true}
+	pp := &ProposedPolicy{}
 	if pp.Name() != "proposed" {
 		t.Errorf("name = %q", pp.Name())
 	}

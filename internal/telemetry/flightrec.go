@@ -58,7 +58,7 @@ const (
 )
 
 // FlightRecorder is the anomaly "black box" of one job: when an anomaly
-// trips, it dumps the newest spans and decision events — the causal context
+// trips, it dumps the newest spans and decision epochs — the causal context
 // leading up to the fault — to <dir>/flightrec-<job>.json and increments the
 // flightrec_alerts_total{kind} counter. Dumps accumulate per job (bounded),
 // so a thermal runaway followed by a stall lands in one file. All methods
@@ -68,7 +68,7 @@ type FlightRecorder struct {
 	dir       string
 	job       string
 	tracer    *Tracer
-	events    *Recorder
+	epochs    *EpochLog
 	reg       *Registry
 	anomalies []Anomaly
 	trips     int64
@@ -76,20 +76,20 @@ type FlightRecorder struct {
 
 // flightDump is the on-disk schema of one flight-recorder file.
 type flightDump struct {
-	Job       string          `json:"job"`
-	Anomalies []Anomaly       `json:"anomalies"`
-	Spans     []Span          `json:"spans,omitempty"`
-	Events    []DecisionEvent `json:"events,omitempty"`
+	Job       string    `json:"job"`
+	Anomalies []Anomaly `json:"anomalies"`
+	Spans     []Span    `json:"spans,omitempty"`
+	Events    []Epoch   `json:"events,omitempty"`
 }
 
-// NewFlightRecorder builds a recorder dumping into dir. tracer and events
+// NewFlightRecorder builds a recorder dumping into dir. tracer and epochs
 // supply the dump context and may be nil; reg receives the alert counters
 // (nil selects Default()).
-func NewFlightRecorder(dir string, tracer *Tracer, events *Recorder, reg *Registry) *FlightRecorder {
+func NewFlightRecorder(dir string, tracer *Tracer, epochs *EpochLog, reg *Registry) *FlightRecorder {
 	if reg == nil {
 		reg = Default()
 	}
-	return &FlightRecorder{dir: dir, tracer: tracer, events: events, reg: reg}
+	return &FlightRecorder{dir: dir, tracer: tracer, epochs: epochs, reg: reg}
 }
 
 // SetJob names the job the recorder belongs to (used in the dump file name;
@@ -130,9 +130,9 @@ func (f *FlightRecorder) Trips() int64 {
 	return f.trips
 }
 
-// Trip records one anomaly: bump the alert counter, accumulate the anomaly,
-// and (re)write the job's dump file with the newest span and decision-event
-// context. Dump I/O failures are reported on the counter's side only — the
+// Trip records one anomaly: accumulate it, (re)write the job's dump file
+// with the newest span and decision-epoch context, then bump the alert
+// counter. Dump I/O failures are reported on the counter's side only — the
 // simulation must never fail because its black box could not write.
 func (f *FlightRecorder) Trip(a Anomaly) {
 	if f == nil {
@@ -144,12 +144,14 @@ func (f *FlightRecorder) Trip(a Anomaly) {
 	if a.Job == "" {
 		a.Job = f.job
 	}
-	f.reg.Counter("flightrec_alerts_total", "Anomalies detected by the flight recorder, by kind.",
-		L("kind", a.Kind)).Inc()
 	if len(f.anomalies) < flightMaxDumps {
 		f.anomalies = append(f.anomalies, a)
 	}
 	f.dumpLocked()
+	// Publish the alert only once its dump is in place, so a watcher that
+	// sees the counter move can read the dump.
+	f.reg.Counter("flightrec_alerts_total", "Anomalies detected by the flight recorder, by kind.",
+		L("kind", a.Kind)).Inc()
 }
 
 // dumpLocked writes the accumulated anomalies plus trailing context
@@ -167,13 +169,7 @@ func (f *FlightRecorder) dumpLocked() {
 		}
 		dump.Spans = spans
 	}
-	if f.events != nil {
-		evs := f.events.Events()
-		if len(evs) > flightDumpEvents {
-			evs = evs[len(evs)-flightDumpEvents:]
-		}
-		dump.Events = evs
-	}
+	dump.Events, _ = f.epochs.Since(f.epochs.Total() - flightDumpEvents)
 	if err := WriteFileAtomic(path, dump); err != nil {
 		f.reg.Counter("flightrec_dump_errors_total", "Flight-recorder dump files that failed to write.").Inc()
 	}

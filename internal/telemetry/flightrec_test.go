@@ -3,7 +3,6 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -17,11 +16,11 @@ func TestFlightRecorderTripDumpsContext(t *testing.T) {
 	tr := newTestTracer(0)
 	run := tr.Start(0, KindRun, "proposed/tachyon")
 	tr.Record(run, KindEpoch, "epoch 1", tr.Now(), 10, Num("state", 2))
-	rec := NewRecorder(8)
-	rec.Record(DecisionEvent{Epoch: 1, TimeS: 10, State: 2, Action: 1, Kind: EventDecision})
+	epochs := NewEpochLog()
+	epochs.Append(epochs.Begin("proposed", "tachyon"), Epoch{Epoch: 1, TimeS: 10, State: 2, Action: 1, Kind: EventDecision})
 	reg := NewRegistry()
 
-	fr := NewFlightRecorder(dir, tr, rec, reg)
+	fr := NewFlightRecorder(dir, tr, epochs, reg)
 	fr.SetJob("job-000042")
 	fr.Trip(Anomaly{
 		Kind: AnomalyThermalRunaway, Cell: "suite/tachyon/proposed",
@@ -40,10 +39,10 @@ func TestFlightRecorderTripDumpsContext(t *testing.T) {
 		t.Fatalf("dump not written: %v", err)
 	}
 	var dump struct {
-		Job       string          `json:"job"`
-		Anomalies []Anomaly       `json:"anomalies"`
-		Spans     []Span          `json:"spans"`
-		Events    []DecisionEvent `json:"events"`
+		Job       string    `json:"job"`
+		Anomalies []Anomaly `json:"anomalies"`
+		Spans     []Span    `json:"spans"`
+		Events    []Epoch   `json:"events"`
 	}
 	if err := json.Unmarshal(data, &dump); err != nil {
 		t.Fatalf("dump is not valid JSON: %v", err)
@@ -134,78 +133,6 @@ func TestFlightRecorderNoJobNoFile(t *testing.T) {
 	}
 	if len(dump.Anomalies) != 2 {
 		t.Errorf("pre-job anomaly lost: %+v", dump.Anomalies)
-	}
-}
-
-// TestRecorderOverflowCounter overflows the decision-event ring and asserts
-// the process-wide drop counter surfaces the overwrites in /metrics.
-func TestRecorderOverflowCounter(t *testing.T) {
-	before, _ := Default().Value("telemetry_decision_events_dropped_total")
-	rec := NewRecorder(16)
-	for i := 0; i < 40; i++ {
-		rec.Record(DecisionEvent{Epoch: i + 1, TimeS: float64(i), Kind: EventDecision})
-	}
-	if rec.Len() != 16 {
-		t.Fatalf("retained %d, want 16", rec.Len())
-	}
-	if rec.Dropped() != 24 {
-		t.Fatalf("dropped %d, want 24", rec.Dropped())
-	}
-	after, _ := Default().Value("telemetry_decision_events_dropped_total")
-	if after-before != 24 {
-		t.Errorf("drop counter moved by %g, want 24", after-before)
-	}
-	// The counter must actually appear on the exposition page.
-	rw := httptest.NewRecorder()
-	Handler(Default()).ServeHTTP(rw, httptest.NewRequest("GET", "/metrics", nil))
-	if !strings.Contains(rw.Body.String(), "telemetry_decision_events_dropped_total") {
-		t.Error("drop counter missing from /metrics exposition")
-	}
-}
-
-func TestRecorderSinceCursor(t *testing.T) {
-	rec := NewRecorder(4)
-	evs, cur := rec.Since(0)
-	if len(evs) != 0 || cur != 0 {
-		t.Fatalf("empty recorder: %v, %d", evs, cur)
-	}
-	rec.Record(DecisionEvent{Epoch: 1})
-	rec.Record(DecisionEvent{Epoch: 2})
-	evs, cur = rec.Since(cur)
-	if len(evs) != 2 || evs[0].Epoch != 1 || evs[1].Epoch != 2 {
-		t.Fatalf("first drain: %+v", evs)
-	}
-	// No new events: cursor unchanged, nothing returned.
-	evs, cur2 := rec.Since(cur)
-	if len(evs) != 0 || cur2 != cur {
-		t.Fatalf("idle drain: %+v, %d", evs, cur2)
-	}
-	// Overflow while the client lags: only the retained tail comes back.
-	for i := 3; i <= 10; i++ {
-		rec.Record(DecisionEvent{Epoch: i})
-	}
-	evs, cur = rec.Since(cur)
-	if len(evs) != 4 {
-		t.Fatalf("lagged drain: %d events, want 4 (ring capacity)", len(evs))
-	}
-	if evs[0].Epoch != 7 || evs[3].Epoch != 10 {
-		t.Errorf("lagged drain range: %d..%d, want 7..10", evs[0].Epoch, evs[3].Epoch)
-	}
-	if cur != 10 {
-		t.Errorf("cursor = %d, want 10", cur)
-	}
-}
-
-func TestRecorderPhaseExploredSerialized(t *testing.T) {
-	rec := NewRecorder(4)
-	rec.Record(DecisionEvent{Epoch: 1, Phase: "exploration", Explored: true, Reward: math.NaN()})
-	var sb strings.Builder
-	if err := rec.WriteJSONL(&sb); err != nil {
-		t.Fatal(err)
-	}
-	line := sb.String()
-	if !strings.Contains(line, `"phase":"exploration"`) || !strings.Contains(line, `"explored":true`) {
-		t.Errorf("phase/explored missing from JSONL: %s", line)
 	}
 }
 
