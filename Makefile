@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build fmt-check vet test race digest-check recover-test cluster-test cluster-obs-test tournament-test learning-test fuzz-smoke bench bench-smoke bench-compare bench-compare-smoke bench-dispatch-gate bench-distilled-gate bench-learning-gate ci
+.PHONY: all build fmt-check vet cross-vet test race digest-check recover-test cluster-test cluster-obs-test tournament-test learning-test fuzz-smoke bench bench-smoke bench-compare bench-compare-smoke bench-dispatch-gate bench-distilled-gate bench-learning-gate ci
 
 # Committed benchmark baseline that bench-compare diffs against.
 BENCH_BASELINE ?= BENCH_pr4.json
@@ -20,6 +20,13 @@ fmt-check:
 
 vet:
 	$(GO) vet ./...
+
+# Off amd64 the thermal stepper has no assembly kernel and runs its Go loop;
+# vetting for arm64 compiles that fallback, so it cannot rot unseen. (amd64
+# vet's asmdecl check already matches the assembly frames to their Go
+# declarations.)
+cross-vet:
+	GOARCH=arm64 $(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -77,7 +84,8 @@ learning-test:
 # its committed seed corpus under testdata/fuzz/: FuzzParseSpec (the
 # POST /v1/campaigns body), FuzzDecodeCellRow (journaled and
 # cluster-returned cell rows), and FuzzDecodeSpansJSONL and
-# FuzzDecodeEpochLog (a job's archived trace and epoch log). A crasher is
+# FuzzDecodeEpochLog (a job's archived trace and epoch log), and
+# FuzzFloorplanFromFLP (a HotSpot floorplan file). A crasher is
 # written into that corpus, where plain `go test` replays it from then on.
 # The archive seeds are kilobytes of JSONL, and minimizing each new input
 # costs quadratic time in its length, so those runs bound minimization.
@@ -86,6 +94,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCellRow$$' -fuzztime 10s ./internal/experiments
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSpansJSONL$$' -fuzztime 10s -fuzzminimizetime 500x ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEpochLog$$' -fuzztime 10s -fuzzminimizetime 500x ./internal/telemetry
+	$(GO) test -run '^$$' -fuzz '^FuzzFloorplanFromFLP$$' -fuzztime 10s ./internal/thermal
 
 # Full benchmark sweep (quick-mode experiment regeneration plus the
 # micro-benchmarks of every package). The human-readable benchstat text is
@@ -152,4 +161,4 @@ bench-learning-gate:
 	$(GO) test -bench 'BenchmarkFig1$$' -benchmem -count=1 -run '^$$' . | tee results/bench-learning.txt
 	$(GO) run ./cmd/benchjson -only 'BenchmarkFig1' -threshold 0.02 -gate-ns -compare BENCH_pr8.json results/bench-learning.txt
 
-ci: build fmt-check vet race digest-check cluster-test cluster-obs-test tournament-test learning-test fuzz-smoke bench-smoke bench-compare-smoke
+ci: build fmt-check vet cross-vet race digest-check cluster-test cluster-obs-test tournament-test learning-test fuzz-smoke bench-smoke bench-compare-smoke

@@ -44,7 +44,10 @@ var (
 // B column by column into flat row-major backing; Step is then two dense
 // matvecs and performs no allocation. The arithmetic is a fixed sequence of
 // float64 operations, so repeated runs from the same initial state are
-// bit-identical.
+// bit-identical. On amd64 hosts with AVX the matvecs run in an assembly
+// kernel that computes eight rows at once, one per vector lane, each with the
+// same operations in the same order as the Go loop, so both produce the same
+// bits.
 //
 // FixedStepper trades O(n^2) memory and an O(n^3) one-time setup for the
 // cheapest possible per-step cost; it matches the ImplicitSolver at the same
@@ -60,10 +63,16 @@ type FixedStepper struct {
 	// The backing may be shared read-only with other steppers of the same
 	// (network, dt) configuration (see fixedUpdate).
 	ab []float64
-	// c is the constant ambient-injection vector (shared like ab).
+	// packed is [A|B] laid out for the AVX kernel (see fixedUpdate); nil
+	// without AVX.
+	packed []float64
+	// c is the constant ambient-injection vector (shared like ab), zero
+	// padded to a multiple of eight entries.
 	c []float64
-	// temps is the state; next is the step scratch.
+	// temps is the state; next is the step scratch, as long as c.
 	temps, next []float64
+	// avx routes Step through the AVX kernel instead of the Go loop.
+	avx bool
 }
 
 // fixedUpdate is the precomputed constant-dt linear map T' = A*T + B*P + c of
@@ -74,7 +83,14 @@ type FixedStepper struct {
 type fixedUpdate struct {
 	n  int
 	ab []float64
-	c  []float64
+	// packed holds [A|B] for the AVX kernel in blocks of eight rows,
+	// column-interleaved: the block of rows 8k..8k+7 occupies
+	// packed[16*n*k : 16*n*(k+1)], and within it column j (A's n columns,
+	// then B's) is the eight consecutive values of those rows, zero past row
+	// n-1. It is built only on hosts with AVX.
+	packed []float64
+	// c is zero padded to a multiple of eight entries.
+	c []float64
 }
 
 // newFixedUpdate factors the system matrix and materializes A, B and c.
@@ -90,10 +106,11 @@ func newFixedUpdate(net *Network, dt float64) (*fixedUpdate, error) {
 	if err != nil {
 		return nil, err
 	}
+	npad := (n + 7) &^ 7
 	u := &fixedUpdate{
 		n:  n,
 		ab: make([]float64, 2*n*n),
-		c:  make([]float64, n),
+		c:  make([]float64, npad),
 	}
 	// Column j of B is M^-1 e_j; column j of A is (C_j/dt) * that column.
 	e := make([]float64, n)
@@ -112,7 +129,16 @@ func newFixedUpdate(net *Network, dt float64) (*fixedUpdate, error) {
 	for i := 0; i < n; i++ {
 		e[i] = net.nodes[i].AmbientConductance * net.Ambient()
 	}
-	f.solve(u.c, e)
+	f.solve(u.c[:n], e)
+	if haveAVX {
+		u.packed = make([]float64, 2*n*npad)
+		for i := 0; i < n; i++ {
+			block := u.packed[16*n*(i/8):]
+			for j := 0; j < 2*n; j++ {
+				block[8*j+i%8] = u.ab[2*n*i+j]
+			}
+		}
+	}
 	return u, nil
 }
 
@@ -128,13 +154,15 @@ func NewFixedStepper(net *Network, dt float64) (*FixedStepper, error) {
 	}
 	n := u.n
 	s := &FixedStepper{
-		net:   net,
-		dt:    dt,
-		n:     n,
-		ab:    u.ab,
-		c:     u.c,
-		temps: make([]float64, n),
-		next:  make([]float64, n),
+		net:    net,
+		dt:     dt,
+		n:      n,
+		ab:     u.ab,
+		packed: u.packed,
+		c:      u.c,
+		temps:  make([]float64, n),
+		next:   make([]float64, len(u.c)),
+		avx:    haveAVX,
 	}
 	s.Reset()
 	return s, nil
@@ -178,6 +206,11 @@ func (s *FixedStepper) Step(dt float64, p []float64) error {
 	if len(p) != n {
 		return fmt.Errorf("thermal: fixed stepper: power vector length %d != node count %d", len(p), n)
 	}
+	if s.avx {
+		stepAVX(s.packed, s.c, s.temps, p, s.next)
+		copy(s.temps, s.next[:n])
+		return nil
+	}
 	if n == 6 {
 		// The paper's quad-core chip (4 cores + spreader + sink) is the
 		// dominant configuration; a fully unrolled kernel with the same
@@ -186,29 +219,29 @@ func (s *FixedStepper) Step(dt float64, p []float64) error {
 		s.step6((*[6]float64)(p))
 		return nil
 	}
-	// Reslice to the common length once so the compiler drops the bounds
-	// checks inside the matvec loops.
-	t, next := s.temps[:n], s.next[:n]
+	// Reslice to the common length once and index pairs as j-1, j so the
+	// compiler drops most bounds checks inside the matvec loop.
+	t, next, c := s.temps[:n], s.next[:n], s.c[:n]
 	p = p[:n]
-	for i := 0; i < n; i++ {
+	for i := range next {
 		row := s.ab[2*n*i : 2*n*i+2*n]
-		a, b := row[:n], row[n:2*n]
+		a, b := row[:n], row[n:][:n]
 		// Four independent accumulator chains (A*T and B*p each split over
 		// even/odd indices) so the products overlap in the pipeline instead
 		// of serializing on one floating-point add chain.
 		var sa0, sa1, sb0, sb1 float64
-		j := 0
-		for ; j+1 < n; j += 2 {
-			sa0 += a[j] * t[j]
-			sa1 += a[j+1] * t[j+1]
-			sb0 += b[j] * p[j]
-			sb1 += b[j+1] * p[j+1]
+		j := 1
+		for ; j < n; j += 2 {
+			sa0 += a[j-1] * t[j-1]
+			sa1 += a[j] * t[j]
+			sb0 += b[j-1] * p[j-1]
+			sb1 += b[j] * p[j]
 		}
-		if j < n {
-			sa0 += a[j] * t[j]
-			sb0 += b[j] * p[j]
+		if j == n {
+			sa0 += a[j-1] * t[j-1]
+			sb0 += b[j-1] * p[j-1]
 		}
-		next[i] = s.c[i] + ((sa0 + sa1) + (sb0 + sb1))
+		next[i] = c[i] + ((sa0 + sa1) + (sb0 + sb1))
 	}
 	// Copy element-wise rather than swapping the slice headers: a header
 	// store into a heap struct goes through the GC write barrier, which

@@ -110,69 +110,135 @@ func TestFixedStepperStepErrors(t *testing.T) {
 	}
 }
 
-// TestFixedStepperSteadyState checks the precomputed update converges to the
-// same equilibrium as the network's direct steady-state solve.
-func TestFixedStepperSteadyState(t *testing.T) {
-	fp := QuadCoreFloorplan(DefaultFloorplanConfig())
-	s, err := NewFixedStepper(fp.Net, 0.05)
-	if err != nil {
-		t.Fatal(err)
+// stepKernels lists the kernels Step can run on this host, as values of the
+// stepper's avx switch: the Go loop always, the AVX kernel where the CPU has
+// it.
+func stepKernels() []bool {
+	if haveAVX {
+		return []bool{false, true}
 	}
-	p := make([]float64, fp.Net.NumNodes())
-	for _, c := range fp.Cores {
-		p[c] = 8.0
+	return []bool{false}
+}
+
+// TestFixedStepperAVXMatchesGo steps the AVX kernel and the Go loop side by
+// side under a varying power profile and requires every node temperature to
+// have the same bits after every step. The grids' node counts (3, 6, 7, 8,
+// 11 and 34) cover odd counts, the quad-core's unrolled Go path, one full
+// eight-row block, partial blocks and several blocks.
+func TestFixedStepperAVXMatchesGo(t *testing.T) {
+	if !haveAVX {
+		t.Skip("no AVX on this host")
 	}
-	want, err := fp.Net.SteadyState(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for step := 0; step < 40000; step++ {
-		if err := s.Step(0.05, p); err != nil {
+	for _, grid := range [][2]int{{1, 1}, {2, 2}, {1, 5}, {2, 3}, {3, 3}, {4, 8}} {
+		fp := GridFloorplan(grid[0], grid[1], DefaultFloorplanConfig())
+		const dt = 0.01
+		vec, err := NewFixedStepper(fp.Net, dt)
+		if err != nil {
 			t.Fatal(err)
 		}
+		scalar, err := NewFixedStepper(fp.Net, dt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scalar.avx = false
+		p := make([]float64, fp.Net.NumNodes())
+		for step := 0; step < 20000; step++ {
+			fixedPowerProfile(fp, step, p)
+			if err := vec.Step(dt, p); err != nil {
+				t.Fatal(err)
+			}
+			if err := scalar.Step(dt, p); err != nil {
+				t.Fatal(err)
+			}
+			for i := range p {
+				got, want := vec.Temperature(i), scalar.Temperature(i)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%dx%d (%d nodes) step %d node %d: avx %x vs go %x",
+						grid[0], grid[1], len(p), step, i, got, want)
+				}
+			}
+		}
 	}
-	for i := range want {
-		if math.Abs(s.Temperature(i)-want[i]) > 1e-6 {
-			t.Errorf("node %d: fixed-step equilibrium %.9f, steady state %.9f", i, s.Temperature(i), want[i])
+}
+
+// TestFixedStepperSteadyState checks the precomputed update converges to the
+// same equilibrium as the network's direct steady-state solve, on the
+// quad-core chip and the 4x8 many-core grid, under every kernel.
+func TestFixedStepperSteadyState(t *testing.T) {
+	cfg := DefaultFloorplanConfig()
+	for _, fp := range []*Floorplan{QuadCoreFloorplan(cfg), GridFloorplan(4, 8, cfg)} {
+		p := make([]float64, fp.Net.NumNodes())
+		for _, c := range fp.Cores {
+			p[c] = 8.0
+		}
+		want, err := fp.Net.SteadyState(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, avx := range stepKernels() {
+			s, err := NewFixedStepper(fp.Net, 0.05)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.avx = avx
+			for step := 0; step < 40000; step++ {
+				if err := s.Step(0.05, p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := range want {
+				if math.Abs(s.Temperature(i)-want[i]) > 1e-6 {
+					t.Errorf("%d nodes, avx=%t: node %d: fixed-step equilibrium %.9f, steady state %.9f",
+						len(p), avx, i, s.Temperature(i), want[i])
+				}
+			}
 		}
 	}
 }
 
 // TestFixedStepperStepAllocFree asserts the steady-state step performs zero
-// allocations.
+// allocations on the quad-core chip and the 4x8 grid under every kernel.
 func TestFixedStepperStepAllocFree(t *testing.T) {
-	fp := QuadCoreFloorplan(DefaultFloorplanConfig())
-	s, err := NewFixedStepper(fp.Net, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := make([]float64, fp.Net.NumNodes())
-	for _, c := range fp.Cores {
-		p[c] = 5
-	}
-	if allocs := testing.AllocsPerRun(1000, func() {
-		if err := s.Step(0.01, p); err != nil {
-			t.Fatal(err)
+	cfg := DefaultFloorplanConfig()
+	for _, fp := range []*Floorplan{QuadCoreFloorplan(cfg), GridFloorplan(4, 8, cfg)} {
+		p := make([]float64, fp.Net.NumNodes())
+		for _, c := range fp.Cores {
+			p[c] = 5
 		}
-	}); allocs != 0 {
-		t.Errorf("FixedStepper.Step allocates %.1f objects per step, want 0", allocs)
+		for _, avx := range stepKernels() {
+			s, err := NewFixedStepper(fp.Net, 0.01)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.avx = avx
+			if allocs := testing.AllocsPerRun(1000, func() {
+				if err := s.Step(0.01, p); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs != 0 {
+				t.Errorf("%d nodes, avx=%t: FixedStepper.Step allocates %.1f objects per step, want 0",
+					len(p), avx, allocs)
+			}
+		}
 	}
 }
 
 // BenchmarkFixedStep compares one precomputed constant-dt step against the
-// reference integrators on the quad-core network.
+// reference integrators on the quad-core network, and times the 34-node
+// step of the 4x8 many-core grid. "fixed" is the kernel Step uses on this
+// host (AVX where available) and "go" the portable Go loop.
 func BenchmarkFixedStep(b *testing.B) {
-	fp := QuadCoreFloorplan(DefaultFloorplanConfig())
-	p := make([]float64, fp.Net.NumNodes())
-	for _, c := range fp.Cores {
-		p[c] = 6
-	}
 	const dt = 0.01
-	b.Run("fixed", func(b *testing.B) {
+	benchStep := func(b *testing.B, fp *Floorplan, avx bool) {
+		p := make([]float64, fp.Net.NumNodes())
+		for _, c := range fp.Cores {
+			p[c] = 6
+		}
 		s, err := NewFixedStepper(fp.Net, dt)
 		if err != nil {
 			b.Fatal(err)
 		}
+		s.avx = avx
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -180,7 +246,14 @@ func BenchmarkFixedStep(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-	})
+	}
+	fp := QuadCoreFloorplan(DefaultFloorplanConfig())
+	p := make([]float64, fp.Net.NumNodes())
+	for _, c := range fp.Cores {
+		p[c] = 6
+	}
+	b.Run("fixed", func(b *testing.B) { benchStep(b, fp, haveAVX) })
+	b.Run("go", func(b *testing.B) { benchStep(b, fp, false) })
 	b.Run("euler", func(b *testing.B) {
 		s := NewSolver(fp.Net, Euler)
 		b.ReportAllocs()
@@ -201,6 +274,9 @@ func BenchmarkFixedStep(b *testing.B) {
 			}
 		}
 	})
+	grid := GridFloorplan(4, 8, DefaultFloorplanConfig())
+	b.Run("grid4x8/fixed", func(b *testing.B) { benchStep(b, grid, haveAVX) })
+	b.Run("grid4x8/go", func(b *testing.B) { benchStep(b, grid, false) })
 }
 
 // TestFixedStepperSharesUpdate checks the factorization cache: steppers over

@@ -29,7 +29,7 @@ func (b Block) Area() float64 { return b.Width * b.Height }
 //	<name> <width> <height> <left-x> <bottom-y>
 //
 // with '#' comments and blank lines ignored (dimensions in meters, as
-// HotSpot uses).
+// HotSpot uses). Every number must be finite and the dimensions positive.
 func ParseFLP(r io.Reader) ([]Block, error) {
 	var blocks []Block
 	sc := bufio.NewScanner(r)
@@ -49,6 +49,9 @@ func ParseFLP(r io.Reader) ([]Block, error) {
 			v, err := strconv.ParseFloat(fields[i+1], 64)
 			if err != nil {
 				return nil, fmt.Errorf("thermal: flp line %d: bad number %q: %w", line, fields[i+1], err)
+			}
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("thermal: flp line %d: block %q has non-finite number %q", line, fields[0], fields[i+1])
 			}
 			vals[i] = v
 		}
@@ -132,7 +135,10 @@ func DefaultFLPConfig() FLPConfig {
 // path to a shared spreader and sink; abutting blocks are laterally coupled
 // in proportion to their shared edge length. Blocks whose name begins with
 // "core" (case-insensitive) become the Floorplan's power-injection cores, in
-// file order; if no block is named core*, every block becomes a core.
+// file order; if no block is named core*, every block becomes a core. It
+// returns an error for duplicate block names, a block named "spreader" or
+// "sink", and geometry whose capacitances or conductances are not positive
+// and finite.
 func FloorplanFromBlocks(blocks []Block, cfg FLPConfig) (*Floorplan, error) {
 	if len(blocks) == 0 {
 		return nil, fmt.Errorf("thermal: floorplan needs at least one block")
@@ -153,18 +159,31 @@ func FloorplanFromBlocks(blocks []Block, cfg FLPConfig) (*Floorplan, error) {
 	if len(fp.Cores) == 0 {
 		fp.Cores = append([]int(nil), idx...)
 	}
-	fp.Spreader = net.MustAddNode(Node{Name: "spreader", Capacitance: cfg.SpreaderCapacitance})
-	fp.Sink = net.MustAddNode(Node{
+	// A block named like a package node, or a geometry whose areas or edges
+	// overflow, is reported by the network's own checks.
+	var err error
+	if fp.Spreader, err = net.AddNode(Node{Name: "spreader", Capacitance: cfg.SpreaderCapacitance}); err != nil {
+		return nil, err
+	}
+	if fp.Sink, err = net.AddNode(Node{
 		Name:               "sink",
 		Capacitance:        cfg.SinkCapacitance,
 		AmbientConductance: cfg.SinkToAmbient,
-	})
-	net.MustConnect(fp.Spreader, fp.Sink, cfg.SpreaderToSink)
+	}); err != nil {
+		return nil, err
+	}
+	if err := net.Connect(fp.Spreader, fp.Sink, cfg.SpreaderToSink); err != nil {
+		return nil, err
+	}
 	for i, b := range blocks {
-		net.MustConnect(idx[i], fp.Spreader, cfg.VerticalConductancePerM2*b.Area())
+		if err := net.Connect(idx[i], fp.Spreader, cfg.VerticalConductancePerM2*b.Area()); err != nil {
+			return nil, fmt.Errorf("thermal: block %q: %w", b.Name, err)
+		}
 		for j := i + 1; j < len(blocks); j++ {
 			if e := sharedEdge(b, blocks[j]); e > 0 {
-				net.MustConnect(idx[i], idx[j], cfg.LateralConductancePerM*e)
+				if err := net.Connect(idx[i], idx[j], cfg.LateralConductancePerM*e); err != nil {
+					return nil, fmt.Errorf("thermal: blocks %q and %q: %w", b.Name, blocks[j].Name, err)
+				}
 			}
 		}
 	}

@@ -38,6 +38,10 @@ func TestParseFLPErrors(t *testing.T) {
 		"core0 x 0.01 0 0",     // bad number
 		"core0 0 0.01 0 0",     // zero width
 		"core0 -0.01 0.01 0 0", // negative width
+		"core0 NaN 0.01 0 0",   // NaN width
+		"core0 0.01 Inf 0 0",   // infinite height
+		"core0 0.01 0.01 -Inf 0",
+		"core0 0.01 0.01 0 nan",
 	}
 	for _, in := range cases {
 		if _, err := ParseFLP(strings.NewReader(in)); err == nil {
@@ -114,6 +118,22 @@ func TestFloorplanFromBlocksNoCoreNames(t *testing.T) {
 	}
 }
 
+// Block names that collide with the package nodes, or with each other, and
+// geometry whose area overflows are errors, not panics.
+func TestFloorplanFromFLPBadBlocks(t *testing.T) {
+	cases := map[string]string{
+		"spreader":  "core0 0.01 0.01 0 0\nspreader 0.01 0.01 0.01 0",
+		"sink":      "sink 0.01 0.01 0 0",
+		"duplicate": "core0 0.01 0.01 0 0\ncore0 0.01 0.01 0.01 0",
+		"overflow":  "core0 1e200 1e200 0 0",
+	}
+	for name, in := range cases {
+		if _, err := FloorplanFromFLP(strings.NewReader(in), DefaultFLPConfig()); err == nil {
+			t.Errorf("%s: expected an error for %q", name, in)
+		}
+	}
+}
+
 func TestFloorplanFromBlocksEmpty(t *testing.T) {
 	if _, err := FloorplanFromBlocks(nil, DefaultFLPConfig()); err == nil {
 		t.Error("expected error for empty block list")
@@ -136,4 +156,52 @@ func TestFLPTransient(t *testing.T) {
 	if s.Temperature(fp.Cores[0]) <= s.Temperature(fp.Cores[3]) {
 		t.Error("loaded corner should be hotter than the diagonal corner")
 	}
+}
+
+// FuzzFloorplanFromFLP feeds arbitrary text to the .flp reader. It must never
+// panic, and every floorplan it accepts must be a physical RC network:
+// positive, finite capacitances, non-negative, finite and symmetric
+// conductances, and a positive vertical path from every block to the
+// spreader.
+func FuzzFloorplanFromFLP(f *testing.F) {
+	for _, seed := range []string{
+		quadFLP,
+		"alu 0.01 0.01 0 0\nfpu 0.01 0.01 0.01 0",
+		"core0 0.01 0.01 0 0\nspreader 0.01 0.01 0.01 0",
+		"sink 0.01 0.01 0 0",
+		"core0 NaN 0.01 0 0",
+		"core0 0.01 0.01 Inf 0",
+		"core0 1e200 1e200 0 0",
+		"core0 1e-200 1e-200 0 0",
+		"a 1 1 1e308 0\nb 1 1 1.7e308 0",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		fp, err := FloorplanFromFLP(strings.NewReader(in), DefaultFLPConfig())
+		if err != nil {
+			return
+		}
+		net := fp.Net
+		finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+		for i, node := range net.nodes {
+			if !(node.Capacitance > 0) || !finite(node.Capacitance) {
+				t.Fatalf("node %d (%q): capacitance %g", i, node.Name, node.Capacitance)
+			}
+			if !(node.AmbientConductance >= 0) || !finite(node.AmbientConductance) {
+				t.Fatalf("node %d (%q): ambient conductance %g", i, node.Name, node.AmbientConductance)
+			}
+			for j, g := range net.g[i] {
+				if !(g >= 0) || !finite(g) || g != net.g[j][i] {
+					t.Fatalf("conductance %d-%d = %g (reverse %g)", i, j, g, net.g[j][i])
+				}
+			}
+			if i != fp.Spreader && i != fp.Sink && !(net.g[i][fp.Spreader] > 0) {
+				t.Fatalf("block %d (%q) has no path to the spreader", i, node.Name)
+			}
+		}
+		if len(fp.Cores) == 0 {
+			t.Fatal("accepted floorplan has no cores")
+		}
+	})
 }

@@ -70,13 +70,14 @@ func (n *Network) SetAmbient(c float64) { n.ambient = c }
 func (n *Network) NumNodes() int { return len(n.nodes) }
 
 // AddNode appends a node and returns its index. It returns an error if the
-// name is duplicated or the capacitance is not positive.
+// name is duplicated, the capacitance is not positive and finite, or the
+// ambient conductance is negative or not finite.
 func (n *Network) AddNode(node Node) (int, error) {
-	if node.Capacitance <= 0 {
-		return 0, fmt.Errorf("thermal: node %q: capacitance must be positive, got %g", node.Name, node.Capacitance)
+	if !(node.Capacitance > 0) || math.IsInf(node.Capacitance, 0) {
+		return 0, fmt.Errorf("thermal: node %q: capacitance must be positive and finite, got %g", node.Name, node.Capacitance)
 	}
-	if node.AmbientConductance < 0 {
-		return 0, fmt.Errorf("thermal: node %q: ambient conductance must be non-negative, got %g", node.Name, node.AmbientConductance)
+	if !(node.AmbientConductance >= 0) || math.IsInf(node.AmbientConductance, 0) {
+		return 0, fmt.Errorf("thermal: node %q: ambient conductance must be non-negative and finite, got %g", node.Name, node.AmbientConductance)
 	}
 	if _, dup := n.index[node.Name]; dup {
 		return 0, fmt.Errorf("thermal: duplicate node name %q", node.Name)
@@ -112,7 +113,7 @@ func (n *Network) NodeName(i int) string { return n.nodes[i].Name }
 
 // Connect sets the node-to-node conductance between nodes i and j to g W/K.
 // The connection is symmetric. It returns an error for invalid indices,
-// self-connection, or negative conductance.
+// self-connection, or a negative or non-finite conductance.
 func (n *Network) Connect(i, j int, g float64) error {
 	if i < 0 || i >= len(n.nodes) || j < 0 || j >= len(n.nodes) {
 		return fmt.Errorf("thermal: connect: node index out of range (%d, %d) with %d nodes", i, j, len(n.nodes))
@@ -120,8 +121,8 @@ func (n *Network) Connect(i, j int, g float64) error {
 	if i == j {
 		return errors.New("thermal: connect: cannot connect a node to itself")
 	}
-	if g < 0 {
-		return fmt.Errorf("thermal: connect: conductance must be non-negative, got %g", g)
+	if !(g >= 0) || math.IsInf(g, 0) {
+		return fmt.Errorf("thermal: connect: conductance must be non-negative and finite, got %g", g)
 	}
 	n.g[i][j] = g
 	n.g[j][i] = g

@@ -29,6 +29,14 @@ func TestAddNodeValidation(t *testing.T) {
 	if _, err := n.AddNode(Node{Name: "a", Capacitance: 1, AmbientConductance: -0.1}); err == nil {
 		t.Error("expected error for negative ambient conductance")
 	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := n.AddNode(Node{Name: "a", Capacitance: bad}); err == nil {
+			t.Errorf("expected error for capacitance %g", bad)
+		}
+		if _, err := n.AddNode(Node{Name: "a", Capacitance: 1, AmbientConductance: bad}); err == nil {
+			t.Errorf("expected error for ambient conductance %g", bad)
+		}
+	}
 	if _, err := n.AddNode(Node{Name: "a", Capacitance: 1}); err != nil {
 		t.Fatalf("unexpected error: %v", err)
 	}
@@ -52,6 +60,11 @@ func TestConnectValidation(t *testing.T) {
 	}
 	if err := n.Connect(a, b, -1); err == nil {
 		t.Error("expected error for negative conductance")
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		if err := n.Connect(a, b, bad); err == nil {
+			t.Errorf("expected error for conductance %g", bad)
+		}
 	}
 	if err := n.Connect(a, b, 2.5); err != nil {
 		t.Fatalf("unexpected error: %v", err)
